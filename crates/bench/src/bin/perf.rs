@@ -121,11 +121,6 @@ struct ExplorerReport {
     fast_secs: f64,
     speedup: f64,
     runs_equal: bool,
-    /// Drift watch, not a gate: what to keep an eye on in the plain
-    /// (unreduced) explorer numbers across commits. The enforced floor
-    /// (`reduced.speedup_ok`) sits on the reduced path only — the one
-    /// n = 4–5 cells actually use.
-    watch: String,
     reduced: ReducedExplorerReport,
 }
 
@@ -734,10 +729,6 @@ fn explorer_workload(smoke: bool) -> ExplorerReport {
         fast_secs,
         speedup: reference_secs / fast_secs,
         runs_equal,
-        watch: "plain copy-light speedup vs reference has drifted 1.66x -> ~1.23x as the \
-                reference allocator path got cheaper; unasserted by design — the >= 4x floor \
-                is enforced on reduced.speedup_vs_reference only"
-            .to_string(),
         reduced: ReducedExplorerReport {
             runs: red.system.len(),
             complete: red.complete,

@@ -2,12 +2,12 @@
 //! same answer.
 //!
 //! [`explore`](crate::explore) fans the first scheduling slots out into
-//! independent subtrees whose level-order concatenation is the sequential
-//! depth-first run order, for *any* fan-out width. That makes the subtree
-//! the natural checkpoint unit: this module journals each completed
-//! subtree's runs to a [`ktudc_store::Journal`], so a SIGKILL'd
-//! exploration resumes from the last durable subtree instead of tick
-//! zero.
+//! [`FRONTIER_WIDTH`] independent subtrees whose level-order concatenation
+//! is the sequential depth-first run order. That makes the subtree the
+//! natural checkpoint unit: this module drives the same frontier and the
+//! same subtree walk, journaling each completed subtree's runs to a
+//! [`ktudc_store::Journal`], so a SIGKILL'd exploration resumes from the
+//! last durable subtree instead of tick zero.
 //!
 //! # Bit-identical resumption
 //!
@@ -16,9 +16,10 @@
 //! byte, hence the same [`system_digest`](crate::system_digest) — as an
 //! uninterrupted one. Three choices make that hold:
 //!
-//! * the fan-out width is a fixed constant ([`CHECKPOINT_SUBTREE_TARGET`])
-//!   recorded in the journal header, never the machine's thread count, so
-//!   the subtree split replays identically anywhere;
+//! * the fan-out width is the explorer's one constant
+//!   ([`FRONTIER_WIDTH`]), never the machine's thread count, and it is
+//!   recorded in the journal header and honoured on resume, so the subtree
+//!   split replays identically anywhere;
 //! * the journal header pins the full [`ExploreSpec`]; resuming against a
 //!   journal written for a different spec is an error, not a silent
 //!   garbage merge;
@@ -32,22 +33,15 @@
 
 use crate::ckpt_codec;
 use crate::explorer::{
-    assemble_subtree_runs, assemble_subtrees, expand_frontier, subtree_runs, ExploreResult,
-    Frontier,
+    assemble_subtree_runs, Engine, ExploreResult, Frontier, ReductionStats, FRONTIER_WIDTH,
 };
 use crate::wire::{ExploreSpec, WireMsg};
 use ktudc_model::budget::{AbortReason, Budget};
-use ktudc_model::Run;
+use ktudc_model::{Run, System};
 use ktudc_store::{Journal, SyncPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
-
-/// The fixed breadth-first fan-out width of checkpointed explorations.
-///
-/// Deliberately NOT derived from the thread count: the subtree split must
-/// replay identically on any machine that resumes the journal.
-pub const CHECKPOINT_SUBTREE_TARGET: usize = 64;
 
 /// One journal entry of a checkpointed exploration, JSON-encoded.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,8 +57,9 @@ enum JournalEntry {
         runs: Vec<Run<WireMsg>>,
         complete: bool,
     },
-    /// The degenerate all-leaves case (the whole space fit inside the
-    /// frontier): the final assembled result in one entry.
+    /// A whole exploration's assembled result in one entry. Written by
+    /// older versions when the tree fit inside the frontier; still read, so
+    /// such a journal replays instead of failing to parse.
     Leaves {
         runs: Vec<Run<WireMsg>>,
         complete: bool,
@@ -170,7 +165,7 @@ pub fn explore_spec_checkpointed_budgeted(
     };
 
     // Replay the journal: header first, then completed subtrees.
-    let mut subtree_target = CHECKPOINT_SUBTREE_TARGET;
+    let mut subtree_target = FRONTIER_WIDTH;
     let mut done: HashMap<usize, (Vec<Run<WireMsg>>, bool)> = HashMap::new();
     let mut leaves: Option<(Vec<Run<WireMsg>>, bool)> = None;
     for (i, bytes) in recovered.entries.iter().enumerate() {
@@ -235,46 +230,25 @@ pub fn explore_spec_checkpointed_budgeted(
         )?;
     }
 
-    let frontier: Frontier<WireMsg, _> =
-        expand_frontier(&config, &|p| spec.protocol.instantiate(p), subtree_target);
-
-    if frontier.exhausted(&config) {
-        // Whole space fit inside the frontier: one terminal entry.
+    if let Some((runs, complete)) = leaves {
+        // The older one-entry form of a finished exploration: replay it.
         stats.total_subtrees = 1;
-        if let Some((runs, complete)) = leaves {
-            stats.resumed_subtrees = 1;
-            return Ok((
-                CheckpointOutcome::Done(ExploreResult {
-                    system: ktudc_model::System::new(runs),
-                    complete,
-                }),
-                stats,
-            ));
-        }
-        if let Some(b) = budget {
-            if let Err(reason) = b.check() {
-                return Ok((
-                    CheckpointOutcome::Aborted {
-                        reason,
-                        partial: None,
-                        subtrees_done: 0,
-                    },
-                    stats,
-                ));
-            }
-        }
-        let result = frontier.leaves_result(&config);
-        journal
-            .append(&ckpt_codec::encode_leaves(
-                result.system.runs(),
-                result.complete,
-            ))
-            .map_err(|e| format!("checkpoint append: {e}"))?;
-        stats.computed_subtrees = 1;
-        return Ok((CheckpointOutcome::Done(result), stats));
+        stats.resumed_subtrees = 1;
+        return Ok((
+            CheckpointOutcome::Done(ExploreResult {
+                system: System::new(runs),
+                complete,
+            }),
+            stats,
+        ));
     }
 
-    let Frontier { level, t, p_idx } = frontier;
+    let engine = Engine::new(&config);
+    let Frontier { level, t, p_idx } = engine.frontier(
+        &|p| spec.protocol.instantiate(p),
+        subtree_target,
+        &mut ReductionStats::default(),
+    );
     stats.total_subtrees = level.len();
 
     // Split the frontier into already-journaled subtrees and fresh work.
@@ -312,7 +286,7 @@ pub fn explore_spec_checkpointed_budgeted(
         }
         let (computed, _): (Vec<Computed>, _) =
             ktudc_par::par_map_steal(batch.to_vec(), |(index, mut state)| {
-                (index, subtree_runs(&config, &mut state, t, p_idx, budget))
+                (index, engine.subtree_runs(&mut state, t, p_idx, budget).0)
             });
         // If the budget tripped during this batch, at least one of its
         // subtrees was abort-truncated — and an abort-truncated subtree is
@@ -356,7 +330,7 @@ pub fn explore_spec_checkpointed_budgeted(
             CheckpointOutcome::Aborted {
                 reason,
                 partial: (!runs.is_empty()).then(|| ExploreResult {
-                    system: ktudc_model::System::new(runs),
+                    system: System::new(runs),
                     complete: false,
                 }),
                 subtrees_done,
@@ -369,8 +343,12 @@ pub fn explore_spec_checkpointed_budgeted(
         .into_iter()
         .map(|r| r.expect("every subtree index resolved"))
         .collect();
+    let (runs, complete) = assemble_subtree_runs(ordered, config.max_runs);
     Ok((
-        CheckpointOutcome::Done(assemble_subtrees(ordered, config.max_runs)),
+        CheckpointOutcome::Done(ExploreResult {
+            system: System::new(runs),
+            complete,
+        }),
         stats,
     ))
 }
@@ -553,18 +531,55 @@ mod tests {
     }
 
     #[test]
-    fn all_leaves_case_checkpoints_and_replays() {
-        // Horizon 1 with 2 idle processes: the space fits inside the
-        // frontier, exercising the Leaves path.
+    fn journal_with_a_leaves_entry_still_resumes() {
+        // Older versions journaled a tree that fit inside the frontier as
+        // one `Leaves` entry holding the whole result. Hand-build such a
+        // journal from the reference enumerator and resume it.
         let tmp = TempPath::new("leaves");
+        let spec = ExploreSpec::new(2, 1);
+        let config = spec.to_config().unwrap();
+        let reference =
+            crate::explorer::explore_reference(&config, |p| spec.protocol.instantiate(p));
+        {
+            let mut journal = Journal::create(&tmp.0, SyncPolicy::Never).unwrap();
+            append(
+                &mut journal,
+                &JournalEntry::Header {
+                    spec: spec.clone(),
+                    subtree_target: FRONTIER_WIDTH,
+                },
+            )
+            .unwrap();
+            journal
+                .append(&ckpt_codec::encode_leaves(
+                    reference.system.runs(),
+                    reference.complete,
+                ))
+                .unwrap();
+        }
+        let direct = run_explore_spec(&spec).unwrap();
+        let (resumed_spec, result, stats) = resume_checkpoint(&tmp.0, SyncPolicy::Never).unwrap();
+        assert_eq!(resumed_spec, spec);
+        assert_eq!(system_digest(&result.system), direct.digest);
+        assert_eq!(result.complete, direct.complete);
+        assert!(stats.resumed);
+        assert_eq!(stats.computed_subtrees, 0, "replayed, not recomputed");
+    }
+
+    #[test]
+    fn tree_inside_the_frontier_checkpoints_and_replays_by_subtree() {
+        // The whole space is smaller than the width; its leaves still come
+        // from subtree walks and are journaled as `Subtree` entries.
+        let tmp = TempPath::new("tiny");
         let spec = ExploreSpec::new(2, 1);
         let direct = run_explore_spec(&spec).unwrap();
         let (first, s1) = explore_spec_checkpointed(&spec, &tmp.0, SyncPolicy::Never).unwrap();
         assert_eq!(system_digest(&first.system), direct.digest);
-        assert_eq!(s1.computed_subtrees, 1);
+        assert!(s1.total_subtrees > 1);
+        assert_eq!(s1.computed_subtrees, s1.total_subtrees);
         let (second, s2) = explore_spec_checkpointed(&spec, &tmp.0, SyncPolicy::Never).unwrap();
         assert_eq!(system_digest(&second.system), direct.digest);
-        assert_eq!(s2.resumed_subtrees, 1);
+        assert_eq!(s2.resumed_subtrees, s2.total_subtrees);
         assert_eq!(s2.computed_subtrees, 0);
     }
 
@@ -633,7 +648,7 @@ mod tests {
             assert!(!partial.complete);
             assert!(partial.system.len() <= baseline.runs);
         }
-        assert!(subtrees_done < CHECKPOINT_SUBTREE_TARGET);
+        assert!(subtrees_done < FRONTIER_WIDTH);
 
         // Resume with no budget: the journal must contain only clean
         // subtrees, so the final result is bit-identical to uninterrupted.

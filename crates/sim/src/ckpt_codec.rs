@@ -51,7 +51,8 @@ pub enum RunsEntry {
         /// Whether the subtree hit no run cap.
         complete: bool,
     },
-    /// The degenerate all-leaves entry.
+    /// A whole exploration's assembled result (written by older
+    /// versions for trees that fit inside the frontier; still decoded).
     Leaves {
         /// The assembled runs.
         runs: Vec<Run<WireMsg>>,
@@ -74,7 +75,9 @@ pub fn encode_subtree(index: usize, runs: &[Run<WireMsg>], complete: bool) -> Ve
     out
 }
 
-/// Encodes a `Leaves` entry from borrowed runs.
+/// Encodes a `Leaves` entry from borrowed runs. Current versions only
+/// read such entries; tests use this to build older-format journals.
+#[cfg(test)]
 #[must_use]
 pub fn encode_leaves(runs: &[Run<WireMsg>], complete: bool) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + runs.iter().map(run_size_hint).sum::<usize>());

@@ -23,16 +23,24 @@
 //!
 //! # Exploration strategy
 //!
-//! [`explore`] shares ONE mutable state across the whole depth-first tree
-//! and rewinds it with an undo log ([`RunBuilder::unappend`] plus reverse
+//! Every exploration — plain, reduced, budgeted or checkpointed — runs on
+//! one engine. The first scheduling slots are expanded breadth-first until
+//! the level holds [`FRONTIER_WIDTH`] independent subtree roots, always
+//! stopping before the final slot; each root is then walked by the same
+//! copy-light DFS, work-stolen across threads (`ktudc-par`, feature
+//! `parallel`). The DFS shares ONE mutable state across its subtree and
+//! rewinds it with an undo log ([`RunBuilder::unappend`] plus reverse
 //! channel/protocol bookkeeping) instead of deep-cloning builder, channels
 //! and every protocol at each branch; only the one protocol a branch
-//! actually steps is cloned. The first few scheduling slots are expanded
-//! breadth-first into independent subtrees which are then explored on
-//! multiple threads (`ktudc-par`, feature `parallel`). Both changes are
-//! invisible in the output: runs come back in exactly the depth-first
-//! branch order of the original clone-per-branch enumerator, which is kept
-//! as [`explore_reference`] and held identical by differential tests.
+//! actually steps is cloned.
+//!
+//! The width is a constant, never the thread count, so the subtree split —
+//! and with it the output, reductions included — is the same on every
+//! machine. Because the final slot is always left to the DFS, every leaf
+//! is generated under a budget poll. With no reduction configured the
+//! output is exactly the depth-first branch order of the original
+//! clone-per-branch enumerator, which is kept as [`explore_reference`] and
+//! held identical by differential tests.
 
 use crate::protocol::{ProtoAction, Protocol};
 use ktudc_model::budget::{AbortReason, Budget};
@@ -120,18 +128,10 @@ pub struct Reduction {
     pub sleep_sets: bool,
 }
 
-impl Reduction {
-    /// Whether any knob is on (i.e. [`explore`] must take the reduced
-    /// path rather than the reference-identical one).
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.sleep_sets || self.symmetry.iter().any(|c| c.len() > 1)
-    }
-}
-
 /// Counters from one exploration: how much work each reduction saved and
-/// how the parallel fan-out behaved. All zero when the corresponding
-/// mechanism is off (or the run was single-threaded).
+/// how the parallel fan-out behaved. A reduction's counter is zero when
+/// that reduction is off; with a single worker `steals` is zero and
+/// `workers` is 1.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReductionStats {
     /// Tick-boundary states pruned as symmetric duplicates of an
@@ -149,7 +149,6 @@ impl ReductionStats {
     fn absorb(&mut self, other: ReductionStats) {
         self.states_canonicalized += other.states_canonicalized;
         self.sleep_set_pruned += other.sleep_set_pruned;
-        self.steals += other.steals;
     }
 }
 
@@ -608,7 +607,7 @@ where
 ///
 /// Runs are produced in depth-first branch order — identical, run for run,
 /// to [`explore_reference`] — but the tree is walked copy-light (one shared
-/// state, rewound via an undo log) and the top-level branches fan out
+/// state, rewound via an undo log) and the frontier subtrees fan out
 /// across threads when the `parallel` feature is on.
 ///
 /// # Panics
@@ -655,9 +654,10 @@ where
     )
 }
 
-/// [`explore`] under a [`Budget`]: the walk polls the budget at every DFS
-/// node and unwinds cooperatively when it trips, returning the runs
-/// generated so far as a partial (incomplete) system.
+/// [`explore`] under a [`Budget`]: one boundary [`Budget::check`] before
+/// the frontier, then the walk polls the budget at every DFS node and
+/// unwinds cooperatively when it trips, returning the runs generated so
+/// far as a partial (incomplete) system.
 ///
 /// The budget is shared across all fan-out workers, so the first worker
 /// to exhaust it makes every sibling's next poll fail fast. Run order is
@@ -693,6 +693,15 @@ where
     }
 }
 
+/// The fan-out width of every exploration: the frontier is expanded until
+/// it holds at least this many subtree roots. A constant, never the thread
+/// count: symmetry dedup is hierarchical (frontier level, then per-subtree
+/// seen-sets), so the split is part of a reduced exploration's output, and
+/// checkpoint journals name subtrees by their frontier index. Pinning it
+/// makes every exploration's output identical on every machine and thread
+/// count.
+pub const FRONTIER_WIDTH: usize = 64;
+
 fn explore_runs<M, P, F>(
     config: &ExploreConfig,
     make: &F,
@@ -704,123 +713,50 @@ where
     P: Protocol<M> + Clone + Send,
     F: Fn(ProcessId) -> P,
 {
-    if config.reduction.is_active() {
-        return explore_runs_reduced(config, make, budget, stats);
+    // `poll` reads the clock only every `POLL_STRIDE` steps, so a budget
+    // that is already spent or past its deadline gets one boundary check
+    // before it pays for the frontier.
+    if budget.is_some_and(|b| b.check().is_err()) {
+        return (Vec::new(), false);
     }
-    let threads = ktudc_par::thread_count();
-    stats.workers = threads.max(1);
-    if threads <= 1 {
-        let mut state = initial_state(config, make);
-        let mut runs: Vec<Run<M>> = Vec::new();
-        let mut complete = true;
-        dfs(config, &mut state, 1, 0, &mut runs, &mut complete, budget);
-        return (runs, complete);
-    }
-
-    let frontier = expand_frontier(config, make, threads * 4);
-    if frontier.exhausted(config) {
-        return frontier.leaves_runs(config);
-    }
-
-    let Frontier { level, t, p_idx } = frontier;
+    let engine = Engine::new(config);
+    let Frontier { level, t, p_idx } = engine.frontier(make, FRONTIER_WIDTH, stats);
     // Work-stealing fan-out: subtree sizes are wildly uneven (one subtree
     // can hold most of the run tree), so contiguous chunking would
     // serialize behind the unluckiest worker. Results come back in
     // frontier order, so the output is unchanged.
-    type SubtreeOut<M> = Vec<(Vec<Run<M>>, bool)>;
-    let (results, steal_stats): (SubtreeOut<M>, _) = ktudc_par::par_map_steal(level, |mut st| {
-        subtree_runs(config, &mut st, t, p_idx, budget)
+    let (outcomes, steal_stats) = ktudc_par::par_map_steal(level, |mut st| {
+        engine.subtree_runs(&mut st, t, p_idx, budget)
     });
     stats.steals = steal_stats.steals;
     stats.workers = steal_stats.workers;
+    let results = outcomes
+        .into_iter()
+        .map(|(result, local)| {
+            stats.absorb(local);
+            result
+        })
+        .collect();
     assemble_subtree_runs(results, config.max_runs)
 }
 
-/// The fixed fan-out width of *reduced* explorations. Deliberately not
-/// the thread count: symmetry dedup is hierarchical (frontier-level, then
-/// per-subtree seen-sets), so the subtree split is part of the output —
-/// pinning it makes the reduced run set identical on every machine and
-/// thread count, exactly like the checkpointed explorer pins its own
-/// split.
-pub(crate) const REDUCED_FRONTIER_TARGET: usize = 64;
-
-/// The reduced exploration: symmetry-canonicalized, sleep-set-pruned,
-/// fanned out over the work-stealing map. Structure mirrors the plain
-/// path, with the frontier target fixed (see [`REDUCED_FRONTIER_TARGET`])
-/// and each subtree carrying its own canonical-digest seen-set — dedup
-/// therefore never races across threads and the output is deterministic.
-/// Cross-subtree duplicates are missed (only frontier-level dedup catches
-/// those), costing reduction, never soundness.
-fn explore_runs_reduced<M, P, F>(
-    config: &ExploreConfig,
-    make: &F,
-    budget: Option<&Budget>,
-    stats: &mut ReductionStats,
-) -> (Vec<Run<M>>, bool)
-where
-    M: Clone + Eq + Hash + Send,
-    P: Protocol<M> + Clone + Send,
-    F: Fn(ProcessId) -> P,
-{
-    let plan = symmetry_plan(config);
-    let sleep_on = sleep_sets_on(config);
-    let frontier = expand_frontier_reduced(
-        config,
-        make,
-        REDUCED_FRONTIER_TARGET,
-        plan.as_ref(),
-        sleep_on,
-        stats,
-    );
-    if frontier.exhausted(config) {
-        stats.workers = 1;
-        return frontier.leaves_runs(config);
-    }
-    let Frontier { level, t, p_idx } = frontier;
-    let threads = ktudc_par::thread_count();
-    if threads <= 1 {
-        stats.workers = 1;
-        let mut results = Vec::with_capacity(level.len());
-        for mut st in level {
-            let mut local = ReductionStats::default();
-            results.push(subtree_runs_reduced(
-                config,
-                plan.as_ref(),
-                sleep_on,
-                &mut st,
-                t,
-                p_idx,
-                budget,
-                &mut local,
-            ));
-            stats.absorb(local);
-        }
-        return assemble_subtree_runs(results, config.max_runs);
-    }
-    let plan = plan.as_ref();
-    let (outcomes, steal_stats) = ktudc_par::par_map_steal(level, |mut st| {
-        let mut local = ReductionStats::default();
-        let result = subtree_runs_reduced(
-            config, plan, sleep_on, &mut st, t, p_idx, budget, &mut local,
-        );
-        (result, local)
-    });
-    let mut results = Vec::with_capacity(outcomes.len());
-    for (result, local) in outcomes {
-        results.push(result);
-        stats.absorb(local);
-    }
-    stats.steals = steal_stats.steals;
-    stats.workers = steal_stats.workers;
-    assemble_subtree_runs(results, config.max_runs)
+/// The exploration engine: a config with its reductions resolved once.
+/// A plain exploration is this engine with no symmetry plan and sleep sets
+/// off, where every reduction step is a no-op and the output is
+/// bit-identical to [`explore_reference`]. The checkpointed explorer
+/// (`crate::checkpoint`) drives the same frontier and subtree walk.
+pub(crate) struct Engine<'a> {
+    config: &'a ExploreConfig,
+    plan: Option<SymmetryPlan>,
+    sleep_on: bool,
 }
 
 /// A breadth-first expansion of the first scheduling slots: independent
 /// subtree roots, all parked at the same `(t, p_idx)` slot, whose
 /// level-order concatenation is exactly the sequential depth-first run
-/// order. Produced by [`expand_frontier`]; consumed by [`explore`]'s
-/// fan-out and by the checkpointed explorer (`crate::checkpoint`), which
-/// journals completed subtrees by their index in `level`.
+/// order. Produced by [`Engine::frontier`]; consumed by [`explore`]'s
+/// fan-out and by the checkpointed explorer, which journals completed
+/// subtrees by their index in `level`.
 pub(crate) struct Frontier<M, P> {
     /// The subtree roots, in sequential branch order.
     pub(crate) level: Vec<ExploreState<M, P>>,
@@ -830,288 +766,194 @@ pub(crate) struct Frontier<M, P> {
     pub(crate) p_idx: usize,
 }
 
-impl<M, P> Frontier<M, P> {
-    /// Whether expansion ran off the horizon — every state is a complete
-    /// leaf and there are no subtrees to descend into.
-    pub(crate) fn exhausted(&self, config: &ExploreConfig) -> bool {
-        self.t > config.horizon
+/// One subtree's runs and completeness, with the reduction counters of
+/// its walk.
+pub(crate) type SubtreeOutcome<M> = ((Vec<Run<M>>, bool), ReductionStats);
+
+/// The accumulator of one subtree's DFS.
+struct Walk<'b, M> {
+    budget: Option<&'b Budget>,
+    runs: Vec<Run<M>>,
+    complete: bool,
+    /// Canonical digests of the tick-boundary states explored so far.
+    seen: HashSet<u64>,
+    stats: ReductionStats,
+}
+
+impl<'a> Engine<'a> {
+    pub(crate) fn new(config: &'a ExploreConfig) -> Self {
+        Engine {
+            config,
+            plan: symmetry_plan(config),
+            sleep_on: sleep_sets_on(config),
+        }
     }
 
-    /// Assembles the all-leaves case into a result (only valid when
-    /// [`exhausted`](Self::exhausted)).
-    pub(crate) fn leaves_result(&self, config: &ExploreConfig) -> ExploreResult<M>
+    /// Expands the first scheduling slots breadth-first until there are at
+    /// least `width` subtree roots, applying the reductions on the way:
+    /// sleep-set pruning filters each slot's choices, and at every
+    /// completed tick the level is deduplicated by canonical digest in
+    /// frontier order (the first orbit member reached keeps the subtree;
+    /// later ones are pruned). Level order is preserved, so the surviving
+    /// subtrees' concatenation is still the sequential DFS order.
+    ///
+    /// Expansion always stops before the final slot `(horizon, n − 1)`:
+    /// every root keeps at least one slot, so every leaf comes out of
+    /// [`Engine::subtree_runs`], which polls the budget.
+    pub(crate) fn frontier<M, P, F>(
+        &self,
+        make: &F,
+        width: usize,
+        stats: &mut ReductionStats,
+    ) -> Frontier<M, P>
     where
         M: Clone + Eq + Hash,
+        P: Protocol<M> + Clone,
+        F: Fn(ProcessId) -> P,
     {
-        let (runs, complete) = self.leaves_runs(config);
-        ExploreResult {
-            system: System::new(runs),
-            complete,
+        let config = self.config;
+        let mut level: Vec<ExploreState<M, P>> = vec![initial_state(config, make)];
+        let final_slot = (config.horizon, config.n - 1);
+        let mut t: Time = 1;
+        let mut p_idx = 0usize;
+        while level.len() < width && (t, p_idx) < final_slot {
+            let p = ProcessId::new(p_idx);
+            let mut next = Vec::with_capacity(level.len() * 2);
+            for mut st in level {
+                for choice in self.choices(&mut st, p, t, stats) {
+                    let mut s = st.clone();
+                    let _ = apply(config, &mut s, p, t, choice);
+                    next.push(s);
+                }
+            }
+            level = next;
+            p_idx += 1;
+            if p_idx == config.n {
+                p_idx = 0;
+                t += 1;
+                if let Some(plan) = &self.plan {
+                    let mut seen = HashSet::new();
+                    let before = level.len();
+                    level.retain(|s| seen.insert(canonical_digest(s, config.n, t, plan)));
+                    stats.states_canonicalized += (before - level.len()) as u64;
+                }
+            }
         }
+        Frontier { level, t, p_idx }
     }
 
-    /// Raw-runs form of [`leaves_result`](Self::leaves_result).
-    pub(crate) fn leaves_runs(&self, config: &ExploreConfig) -> (Vec<Run<M>>, bool)
+    /// Walks one frontier subtree to completion (capped at
+    /// `config.max_runs`) with a fresh seen-set. Dedup never crosses
+    /// subtrees, so it cannot race across threads; a duplicate in another
+    /// subtree is kept, costing reduction, never soundness.
+    pub(crate) fn subtree_runs<M, P>(
+        &self,
+        state: &mut ExploreState<M, P>,
+        t: Time,
+        p_idx: usize,
+        budget: Option<&Budget>,
+    ) -> SubtreeOutcome<M>
     where
         M: Clone + Eq + Hash,
+        P: Protocol<M> + Clone,
     {
-        let mut runs: Vec<Run<M>> = self
-            .level
-            .iter()
-            .map(|s| s.builder.snapshot(config.horizon))
-            .collect();
-        let complete = runs.len() < config.max_runs;
-        runs.truncate(config.max_runs);
-        (runs, complete)
+        let mut walk = Walk {
+            budget,
+            runs: Vec::new(),
+            complete: true,
+            seen: HashSet::new(),
+            stats: ReductionStats::default(),
+        };
+        self.dfs(state, t, p_idx, &mut walk);
+        ((walk.runs, walk.complete), walk.stats)
     }
-}
 
-/// Expands the first scheduling slots breadth-first until there are at
-/// least `target` independent subtrees (or the horizon is exhausted).
-/// The fan-out they seed is invisible in the output for ANY `target`,
-/// which is why the checkpointed explorer can pin its own fixed target
-/// (recorded in the checkpoint header) and still reproduce [`explore`]'s
-/// exact run order.
-pub(crate) fn expand_frontier<M, P, F>(
-    config: &ExploreConfig,
-    make: &F,
-    target: usize,
-) -> Frontier<M, P>
-where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-    F: Fn(ProcessId) -> P,
-{
-    let mut t: Time = 1;
-    let mut p_idx = 0usize;
-    let mut level: Vec<ExploreState<M, P>> = vec![initial_state(config, make)];
-    while level.len() < target && t <= config.horizon {
-        let p = ProcessId::new(p_idx);
-        let mut next = Vec::with_capacity(level.len() * 2);
-        for mut st in level {
-            for choice in choices_for(config, &mut st, p, t) {
-                let mut s = st.clone();
-                let _ = apply(config, &mut s, p, t, choice);
-                next.push(s);
-            }
+    /// `p`'s choices at slot `t`, less the deliveries its sleep mask
+    /// refuses: the same delivery was enabled and refused at the previous
+    /// slot, and the channel head cannot have changed since sends only
+    /// append.
+    fn choices<M, P>(
+        &self,
+        state: &mut ExploreState<M, P>,
+        p: ProcessId,
+        t: Time,
+        stats: &mut ReductionStats,
+    ) -> Vec<Choice<M>>
+    where
+        M: Clone + Eq + Hash,
+        P: Protocol<M> + Clone,
+    {
+        let mut choices = choices_for(self.config, state, p, t);
+        let mask = state.sleep[p.index()];
+        if self.sleep_on && mask != 0 {
+            let before = choices.len();
+            choices.retain(|c| !matches!(c, Choice::Recv(from) if mask >> from.index() & 1 == 1));
+            stats.sleep_set_pruned += (before - choices.len()) as u64;
         }
-        level = next;
-        p_idx += 1;
-        if p_idx == config.n {
-            p_idx = 0;
-            t += 1;
-        }
+        choices
     }
-    Frontier { level, t, p_idx }
-}
 
-/// Runs one frontier subtree to completion (its own copy-light DFS,
-/// capped at `config.max_runs`), returning its runs and completeness.
-pub(crate) fn subtree_runs<M, P>(
-    config: &ExploreConfig,
-    state: &mut ExploreState<M, P>,
-    t: Time,
-    p_idx: usize,
-    budget: Option<&Budget>,
-) -> (Vec<Run<M>>, bool)
-where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-{
-    let mut runs = Vec::new();
-    let mut complete = true;
-    dfs(config, state, t, p_idx, &mut runs, &mut complete, budget);
-    (runs, complete)
-}
-
-/// [`expand_frontier`] with the reductions applied while expanding: the
-/// first slots are part of the tree, so sleep-set pruning filters their
-/// choices, and at every completed tick the level is deduplicated by
-/// canonical digest in frontier order (the first orbit member reached
-/// keeps the subtree; later ones are pruned). Level order is preserved,
-/// so the surviving subtrees' concatenation is still the sequential
-/// reduced DFS order.
-fn expand_frontier_reduced<M, P, F>(
-    config: &ExploreConfig,
-    make: &F,
-    target: usize,
-    plan: Option<&SymmetryPlan>,
-    sleep_on: bool,
-    stats: &mut ReductionStats,
-) -> Frontier<M, P>
-where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-    F: Fn(ProcessId) -> P,
-{
-    let mut t: Time = 1;
-    let mut p_idx = 0usize;
-    let mut level: Vec<ExploreState<M, P>> = vec![initial_state(config, make)];
-    while level.len() < target && t <= config.horizon {
-        let p = ProcessId::new(p_idx);
-        let mut next = Vec::with_capacity(level.len() * 2);
-        for mut st in level {
-            let mut choices = choices_for(config, &mut st, p, t);
-            if sleep_on {
-                filter_sleeping(&mut choices, st.sleep[p.index()], stats);
-            }
-            for choice in choices {
-                let mut s = st.clone();
-                let _ = apply(config, &mut s, p, t, choice);
-                next.push(s);
-            }
-        }
-        level = next;
-        p_idx += 1;
-        if p_idx == config.n {
-            p_idx = 0;
-            t += 1;
-            if let Some(plan) = plan {
-                let mut seen = HashSet::new();
-                let before = level.len();
-                level.retain(|s| seen.insert(canonical_digest(s, config.n, t, plan)));
-                stats.states_canonicalized += (before - level.len()) as u64;
-            }
-        }
-    }
-    Frontier { level, t, p_idx }
-}
-
-/// Drops `Recv` choices whose sender bit is set in the process's sleep
-/// mask (the same delivery was enabled and refused at the previous slot;
-/// the channel head cannot have changed since sends only append).
-fn filter_sleeping<M>(choices: &mut Vec<Choice<M>>, mask: u128, stats: &mut ReductionStats) {
-    if mask == 0 {
-        return;
-    }
-    let before = choices.len();
-    choices.retain(|c| !matches!(c, Choice::Recv(from) if mask >> from.index() & 1 == 1));
-    stats.sleep_set_pruned += (before - choices.len()) as u64;
-}
-
-/// [`subtree_runs`] through the reduced DFS, with a fresh per-subtree
-/// seen-set.
-#[allow(clippy::too_many_arguments)]
-fn subtree_runs_reduced<M, P>(
-    config: &ExploreConfig,
-    plan: Option<&SymmetryPlan>,
-    sleep_on: bool,
-    state: &mut ExploreState<M, P>,
-    t: Time,
-    p_idx: usize,
-    budget: Option<&Budget>,
-    stats: &mut ReductionStats,
-) -> (Vec<Run<M>>, bool)
-where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-{
-    let mut runs = Vec::new();
-    let mut complete = true;
-    let mut seen = HashSet::new();
-    dfs_reduced(
-        config,
-        plan,
-        sleep_on,
-        state,
-        t,
-        p_idx,
-        &mut runs,
-        &mut complete,
-        &mut seen,
-        stats,
-        budget,
-    );
-    (runs, complete)
-}
-
-/// The copy-light DFS with reductions: identical walk to [`dfs`], plus a
-/// canonical-digest check at every tick boundary (pruning whole subtrees
-/// of states isomorphic to one already explored in this subtree) and
-/// sleep-set filtering of each slot's choices. Sleep masks are saved and
-/// restored around apply/revert since [`revert`] does not touch them.
-#[allow(clippy::too_many_arguments)]
-fn dfs_reduced<M, P>(
-    config: &ExploreConfig,
-    plan: Option<&SymmetryPlan>,
-    sleep_on: bool,
-    state: &mut ExploreState<M, P>,
-    t: Time,
-    p_idx: usize,
-    runs: &mut Vec<Run<M>>,
-    complete: &mut bool,
-    seen: &mut HashSet<u64>,
-    stats: &mut ReductionStats,
-    budget: Option<&Budget>,
-) where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-{
-    if let Some(b) = budget {
-        if b.poll().is_err() {
-            *complete = false;
-            return;
-        }
-    }
-    if runs.len() >= config.max_runs {
-        *complete = false;
-        return;
-    }
-    if t > config.horizon {
-        runs.push(state.builder.snapshot(config.horizon));
-        return;
-    }
-    if p_idx == config.n {
-        if let Some(plan) = plan {
-            // Completed tick `t`: prune if an isomorphic state (same
-            // canonical digest, which includes the tick) was already
-            // explored in this subtree.
-            if !seen.insert(canonical_digest(state, config.n, t + 1, plan)) {
-                stats.states_canonicalized += 1;
+    /// The copy-light depth-first walk: one shared state, rewound after
+    /// every branch. Check placement mirrors [`dfs_reference`] exactly so
+    /// the truncation flag semantics stay identical. A tripped budget
+    /// behaves like the run cap (marks the walk incomplete and unwinds),
+    /// except the trip is shared: once any worker trips it, every
+    /// subtree's next poll fails fast too. With a symmetry plan, every
+    /// tick boundary prunes a state isomorphic to one already explored in
+    /// this subtree. Sleep masks are saved and restored around
+    /// apply/revert since [`revert`] does not touch them.
+    fn dfs<M, P>(
+        &self,
+        state: &mut ExploreState<M, P>,
+        t: Time,
+        p_idx: usize,
+        walk: &mut Walk<'_, M>,
+    ) where
+        M: Clone + Eq + Hash,
+        P: Protocol<M> + Clone,
+    {
+        let config = self.config;
+        if let Some(b) = walk.budget {
+            if b.poll().is_err() {
+                walk.complete = false;
                 return;
             }
         }
-        dfs_reduced(
-            config,
-            plan,
-            sleep_on,
-            state,
-            t + 1,
-            0,
-            runs,
-            complete,
-            seen,
-            stats,
-            budget,
-        );
-        return;
-    }
-    let p = ProcessId::new(p_idx);
-    let mut choices = choices_for(config, state, p, t);
-    if sleep_on {
-        filter_sleeping(&mut choices, state.sleep[p.index()], stats);
-    }
-    let saved_sleep = state.sleep[p.index()];
-    for choice in choices {
-        let undo = apply(config, state, p, t, choice);
-        dfs_reduced(
-            config,
-            plan,
-            sleep_on,
-            state,
-            t,
-            p_idx + 1,
-            runs,
-            complete,
-            seen,
-            stats,
-            budget,
-        );
-        revert(state, p, undo);
-        state.sleep[p.index()] = saved_sleep;
-        if runs.len() >= config.max_runs {
-            *complete = false;
+        if walk.runs.len() >= config.max_runs {
+            walk.complete = false;
             return;
+        }
+        if t > config.horizon {
+            walk.runs.push(state.builder.snapshot(config.horizon));
+            return;
+        }
+        if p_idx == config.n {
+            if let Some(plan) = &self.plan {
+                // Completed tick `t`: prune if an isomorphic state (same
+                // canonical digest, which includes the tick) was already
+                // explored in this subtree.
+                if !walk
+                    .seen
+                    .insert(canonical_digest(state, config.n, t + 1, plan))
+                {
+                    walk.stats.states_canonicalized += 1;
+                    return;
+                }
+            }
+            self.dfs(state, t + 1, 0, walk);
+            return;
+        }
+        let p = ProcessId::new(p_idx);
+        let saved_sleep = state.sleep[p.index()];
+        for choice in self.choices(state, p, t, &mut walk.stats) {
+            let undo = apply(config, state, p, t, choice);
+            self.dfs(state, t, p_idx + 1, walk);
+            revert(state, p, undo);
+            state.sleep[p.index()] = saved_sleep;
+            if walk.runs.len() >= config.max_runs {
+                walk.complete = false;
+                return;
+            }
         }
     }
 }
@@ -1120,29 +962,16 @@ fn dfs_reduced<M, P>(
 /// cap. Each subtree was capped at `max_runs` on its own, so the first
 /// `max_runs` runs of the concatenation equal the sequential result; the
 /// enumeration is complete iff every subtree finished and the total
-/// stayed under the cap (matching the sequential flag semantics).
-pub(crate) fn assemble_subtrees<M: Eq + Hash>(
-    results: Vec<(Vec<Run<M>>, bool)>,
-    max_runs: usize,
-) -> ExploreResult<M> {
-    let (runs, complete) = assemble_subtree_runs(results, max_runs);
-    ExploreResult {
-        system: System::new(runs),
-        complete,
-    }
-}
-
-/// Raw-runs form of [`assemble_subtrees`], for callers that must tolerate
-/// an empty concatenation (a budget abort before the first leaf).
+/// stayed under the cap (matching the sequential flag semantics). The
+/// concatenation is empty when a budget tripped before the first leaf.
 pub(crate) fn assemble_subtree_runs<M: Eq + Hash>(
     results: Vec<(Vec<Run<M>>, bool)>,
     max_runs: usize,
 ) -> (Vec<Run<M>>, bool) {
-    let mut runs: Vec<Run<M>> = Vec::new();
-    let mut total = 0usize;
+    let total: usize = results.iter().map(|(rs, _)| rs.len()).sum();
+    let mut runs: Vec<Run<M>> = Vec::with_capacity(total.min(max_runs));
     let mut all_subtrees_complete = true;
     for (rs, c) in results {
-        total += rs.len();
         all_subtrees_complete &= c;
         if runs.len() < max_runs {
             let room = max_runs - runs.len();
@@ -1440,55 +1269,6 @@ where
     }
 }
 
-/// Copy-light depth-first walk: one shared state, rewound after every
-/// branch. Check placement mirrors [`dfs_reference`] exactly so the
-/// truncation flag semantics stay identical. A tripped budget behaves
-/// like the run cap (marks the walk incomplete and unwinds), except the
-/// trip is shared: once any worker trips it, every subtree's next poll
-/// fails fast too.
-#[allow(clippy::too_many_arguments)]
-fn dfs<M, P>(
-    config: &ExploreConfig,
-    state: &mut ExploreState<M, P>,
-    t: Time,
-    p_idx: usize,
-    runs: &mut Vec<Run<M>>,
-    complete: &mut bool,
-    budget: Option<&Budget>,
-) where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-{
-    if let Some(b) = budget {
-        if b.poll().is_err() {
-            *complete = false;
-            return;
-        }
-    }
-    if runs.len() >= config.max_runs {
-        *complete = false;
-        return;
-    }
-    if t > config.horizon {
-        runs.push(state.builder.snapshot(config.horizon));
-        return;
-    }
-    if p_idx == config.n {
-        dfs(config, state, t + 1, 0, runs, complete, budget);
-        return;
-    }
-    let p = ProcessId::new(p_idx);
-    for choice in choices_for(config, state, p, t) {
-        let undo = apply(config, state, p, t, choice);
-        dfs(config, state, t, p_idx + 1, runs, complete, budget);
-        revert(state, p, undo);
-        if runs.len() >= config.max_runs {
-            *complete = false;
-            return;
-        }
-    }
-}
-
 fn dfs_reference<M, P>(
     config: &ExploreConfig,
     mut state: ExploreState<M, P>,
@@ -1778,16 +1558,53 @@ mod tests {
 
     #[test]
     fn cancelled_exploration_aborts_promptly() {
+        let plain = ExploreConfig::new(2, 3);
+        let reduced = plain.clone().symmetric(vec![0, 1]).with_sleep_sets();
+        for cfg in [plain, reduced] {
+            let budget = Budget::unlimited();
+            budget.cancel_token().cancel();
+            match explore_budgeted::<u8, _, _>(&cfg, |_| Idle, &budget) {
+                ExploreStatus::Aborted { reason, partial } => {
+                    assert_eq!(reason, AbortReason::Cancelled);
+                    assert!(partial.is_none(), "cancelled before any leaf");
+                }
+                ExploreStatus::Done(_) => panic!("pre-cancelled budget must abort: {cfg:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn expired_deadline_aborts_a_tree_smaller_than_the_poll_stride() {
+        // Seven leaves never reach a clock read inside `poll`; the boundary
+        // check before the frontier must see the deadline.
         let cfg = ExploreConfig::new(2, 3);
-        let budget = Budget::unlimited();
-        budget.cancel_token().cancel();
+        let budget = Budget::unlimited().deadline_in(std::time::Duration::ZERO);
         match explore_budgeted::<u8, _, _>(&cfg, |_| Idle, &budget) {
             ExploreStatus::Aborted { reason, partial } => {
-                assert_eq!(reason, AbortReason::Cancelled);
-                assert!(partial.is_none(), "cancelled before any leaf");
+                assert_eq!(reason, AbortReason::Deadline);
+                assert!(partial.is_none());
             }
-            ExploreStatus::Done(_) => panic!("pre-cancelled budget must abort"),
+            ExploreStatus::Done(_) => panic!("an expired deadline must abort"),
         }
+    }
+
+    #[test]
+    fn frontier_stops_before_the_final_slot() {
+        // Two idle processes, one tick: the whole tree is 4 leaves, far
+        // below the width, yet the last slot is left to the DFS.
+        let cfg = ExploreConfig::new(2, 1);
+        let frontier: Frontier<u8, Idle> =
+            Engine::new(&cfg).frontier(&|_| Idle, FRONTIER_WIDTH, &mut ReductionStats::default());
+        assert_eq!((frontier.t, frontier.p_idx), (1, 1));
+        assert_eq!(frontier.level.len(), 2, "p0 stutters or crashes");
+        // Horizon 0 has no slot at all: the root is the only subtree.
+        let cfg = ExploreConfig::new(2, 0);
+        let frontier: Frontier<u8, Idle> =
+            Engine::new(&cfg).frontier(&|_| Idle, FRONTIER_WIDTH, &mut ReductionStats::default());
+        assert_eq!(frontier.level.len(), 1);
+        let result = explore::<u8, _, _>(&cfg, |_| Idle);
+        assert_eq!(result.system.len(), 1);
+        assert!(result.complete);
     }
 
     #[test]
@@ -1822,21 +1639,25 @@ mod tests {
     }
 
     #[test]
-    fn inactive_reduction_goes_through_the_plain_path() {
+    fn inactive_reductions_resolve_to_a_no_op_engine() {
+        let active = |cfg: &ExploreConfig| {
+            let engine = Engine::new(cfg);
+            engine.plan.is_some() || engine.sleep_on
+        };
         let cfg = ExploreConfig::new(2, 3).max_failures(1);
-        assert!(!cfg.reduction.is_active());
+        assert!(!active(&cfg));
         // Declaring a singleton class activates nothing either.
-        assert!(!cfg.clone().symmetric(vec![1]).reduction.is_active());
-        assert!(cfg.clone().symmetric(vec![0, 1]).reduction.is_active());
-        assert!(cfg.with_sleep_sets().reduction.is_active());
+        assert!(!active(&cfg.clone().symmetric(vec![1])));
+        assert!(active(&cfg.clone().symmetric(vec![0, 1])));
+        assert!(active(&cfg.with_sleep_sets()));
     }
 
     #[test]
     fn degenerate_symmetry_class_matches_reference_exactly() {
-        // Out-of-range members activate the reduced machinery but yield no
-        // usable permutation, so the reduced walk must reproduce the
-        // reference system verbatim — this pins the reduced plumbing
-        // (fixed frontier target, subtree assembly) as order-preserving.
+        // Out-of-range members yield no usable permutation, so the walk
+        // must reproduce the reference system verbatim — this pins the
+        // engine's plumbing (fixed frontier width, subtree assembly) as
+        // order-preserving.
         let make = |_me: ProcessId| OneShot {
             me: ProcessId::new(0),
             sent: false,
@@ -1844,7 +1665,7 @@ mod tests {
         let cfg = ExploreConfig::new(2, 3)
             .max_failures(1)
             .symmetric(vec![7, 9]);
-        assert!(cfg.reduction.is_active());
+        assert!(symmetry_plan(&cfg).is_none());
         let (reduced, stats) = explore_with_stats(&cfg, make);
         let reference = explore_reference(&ExploreConfig::new(2, 3).max_failures(1), make);
         assert!(reduced.complete && reference.complete);

@@ -56,7 +56,7 @@ pub mod wire;
 
 pub use checkpoint::{
     explore_spec_checkpointed, explore_spec_checkpointed_budgeted, resume_checkpoint,
-    CheckpointOutcome, CheckpointStats, CHECKPOINT_SUBTREE_TARGET,
+    CheckpointOutcome, CheckpointStats,
 };
 pub use config::{ChannelKind, CrashPlan, SimConfig, Workload};
 pub use detector::{
@@ -64,7 +64,7 @@ pub use detector::{
 };
 pub use explorer::{
     canonical_run_digests, explore, explore_budgeted, explore_reference, explore_with_stats,
-    ExploreConfig, ExploreStatus, Reduction, ReductionStats,
+    ExploreConfig, ExploreStatus, Reduction, ReductionStats, FRONTIER_WIDTH,
 };
 pub use faults::{ActiveFaults, FaultPlan, FaultStats, SendDecision};
 pub use oracle::{FaultTruth, FdOracle, NullOracle};
