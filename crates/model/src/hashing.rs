@@ -1,17 +1,17 @@
-//! Stable hashing for local histories.
+//! Stable hashing.
 //!
-//! The indistinguishability index keys local histories by hash. The standard
-//! library's `DefaultHasher` is explicitly unstable across releases and
-//! process invocations are only saved by it currently being unkeyed — too
-//! fragile for something the whole epistemic layer sits on, and previously
-//! this hashing was duplicated ad hoc. [`StableHasher`] is the single
-//! implementation: 64-bit FNV-1a with every integer write widened to
-//! little-endian bytes, so a given event sequence hashes identically on every
+//! The standard library's `DefaultHasher` is explicitly unstable across
+//! releases and process invocations are only saved by it currently being
+//! unkeyed — too fragile for digests that are persisted or compared across
+//! builds (system digests, cache keys, the explorer's state dedup), and
+//! previously this hashing was duplicated ad hoc. [`StableHasher`] is the
+//! single implementation: 64-bit FNV-1a with every integer write widened to
+//! little-endian bytes, so a given value hashes identically on every
 //! platform, forever (pinned by a unit test below).
 //!
-//! Collisions are still possible (any 64-bit hash has them); all lookups in
-//! [`crate::System`] resolve them by exact history comparison, so a collision
-//! can cost time but never correctness.
+//! [`crate::System`]'s indistinguishability index uses it only to bucket
+//! `(parent class, event)` keys of its prefix tries; keys are always
+//! compared exactly, so a collision can cost time but never correctness.
 
 use crate::Event;
 use std::hash::{Hash, Hasher};
@@ -111,8 +111,10 @@ pub fn stable_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
-/// Stable hash of a local history prefix — the one hash function behind the
-/// system's indistinguishability index.
+/// Stable hash of a local history prefix. The indistinguishability index
+/// does not hash whole histories (see [`crate::System`]); this remains for
+/// callers that do, and its pinned values also guard [`StableHasher`]'s
+/// byte stream.
 #[must_use]
 pub fn hash_history<M: Hash>(events: &[Event<M>]) -> u64 {
     stable_hash(events)

@@ -5,20 +5,23 @@
 //! `R` with `r′_p(m′) = r_p(m)`. Evaluating `K_p` therefore needs, given a
 //! local history, all points of the system sharing it.
 //!
-//! [`System`] resolves the whole `~_p` relation at construction: every
-//! `(run, process)` timeline is partitioned into contiguous blocks of
-//! constant history, blocks with equal histories (hash first — via the
-//! stable hasher in [`crate::hashing`] — then exact comparison, so
-//! collisions cannot produce wrong answers) are merged into *equivalence
-//! classes*, and each block remembers its class id. A query is then a binary
-//! search plus a slice borrow: no hashing, no history comparison, no
-//! allocation. The epistemic checker leans on this heavily — it evaluates
-//! `K_p` once per class instead of once per point.
+//! [`System`] resolves the whole `~_p` relation at construction. Each
+//! process's local histories form a prefix trie: the class of a prefix is
+//! the child of its parent prefix's class along the next event, looked up
+//! exactly by `(parent class, event)`, so no history is ever hashed or
+//! compared as a whole and two distinct histories can never share a class.
+//! One pass over the runs advances every process's trie, cutting each
+//! `(run, process)` timeline into contiguous blocks of constant history and
+//! recording each block's class in a flat per-process table. The blocks are
+//! then gathered into *equivalence classes*, one process per task. A query
+//! is a binary search plus a slice borrow: no hashing, no history
+//! comparison, no allocation. The epistemic checker leans on this heavily —
+//! it evaluates `K_p` once per class instead of once per point.
 
-use crate::hashing::hash_history;
-use crate::{Point, ProcessId, Run, Time};
+use crate::hashing::StableHasher;
+use crate::{Event, Point, ProcessId, Run, Time};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
 use std::ops::Range;
 
 /// A contiguous block of points of one run sharing a local history for some
@@ -85,11 +88,31 @@ pub struct System<M> {
     classes: Vec<Vec<IndistinguishableBlock>>,
     /// `class_offsets[p] .. class_offsets[p + 1]` is the id range of
     /// process `p`'s classes. Length `n + 1`.
-    class_offsets: Vec<usize>,
-    /// `run_blocks[p][ri]` = ascending `(block_start, class_id)` pairs
-    /// partitioning `[0, horizon]` of run `ri` for process `p`.
-    run_blocks: Vec<Vec<Vec<(Time, u32)>>>,
+    class_offsets: Vec<u32>,
+    /// `timelines[p]` = process `p`'s blocks in every run.
+    timelines: Vec<Timelines>,
 }
+
+/// One process's blocks over all runs, flat: run `ri`'s blocks are
+/// `blocks[starts[ri] .. starts[ri + 1]]`, ascending `(block_start,
+/// class)` pairs partitioning `[0, horizon]`. Classes are numbered from 0
+/// within the process (add `class_offsets[p]` for the global id), and
+/// the `k`-th block of a run holds the history prefix of length `k`.
+#[derive(Clone, Debug)]
+struct Timelines {
+    blocks: Vec<(Time, u32)>,
+    starts: Vec<usize>,
+}
+
+impl Timelines {
+    fn run(&self, ri: usize) -> &[(Time, u32)] {
+        &self.blocks[self.starts[ri]..self.starts[ri + 1]]
+    }
+}
+
+/// Below this many blocks in all, the class gather runs on the calling
+/// thread: spawning workers would cost more than the gather itself.
+const PARALLEL_GATHER_MIN_BLOCKS: usize = 1 << 16;
 
 impl<M: Eq + Hash> System<M> {
     /// Builds a system from runs, resolving the full indistinguishability
@@ -108,67 +131,130 @@ impl<M: Eq + Hash> System<M> {
             runs.iter().all(|r| r.n() == n),
             "all runs of a system must share the same process set"
         );
-        let mut classes: Vec<Vec<IndistinguishableBlock>> = Vec::new();
+        let (timelines, class_counts) = walk(&runs, n);
         let mut class_offsets = Vec::with_capacity(n + 1);
-        class_offsets.push(0);
-        let mut run_blocks: Vec<Vec<Vec<(Time, u32)>>> = Vec::with_capacity(n);
-        for p in ProcessId::all(n) {
-            // hash → candidate class ids; exact comparison picks within the
-            // bucket, so collisions merge nothing.
-            let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
-            let mut per_run: Vec<Vec<(Time, u32)>> = Vec::with_capacity(runs.len());
-            for (ri, run) in runs.iter().enumerate() {
-                let mut table: Vec<(Time, u32)> = Vec::new();
-                // Event ticks partition [0, horizon] into blocks of constant
-                // history.
-                let ticks: Vec<Time> = run.timed_history(p).map(|(t, _)| t).collect();
-                let mut block_start: Time = 0;
-                for (len, boundary) in ticks
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once(run.horizon() + 1))
-                    .enumerate()
-                {
-                    if boundary > block_start {
-                        let history = &run.history(p)[..len];
-                        let candidates = by_hash.entry(hash_history(history)).or_default();
-                        let cid = candidates
-                            .iter()
-                            .copied()
-                            .find(|&c| {
-                                let rep = classes[c as usize][0];
-                                runs[rep.run].history(p)[..rep.len] == *history
-                            })
-                            .unwrap_or_else(|| {
-                                let c = u32::try_from(classes.len())
-                                    .expect("more than u32::MAX history classes");
-                                classes.push(Vec::new());
-                                candidates.push(c);
-                                c
-                            });
-                        classes[cid as usize].push(IndistinguishableBlock {
-                            run: ri,
-                            from: block_start,
-                            to: boundary - 1,
-                            len,
-                        });
-                        table.push((block_start, cid));
-                    }
-                    block_start = boundary;
-                }
-                per_run.push(table);
-            }
-            run_blocks.push(per_run);
-            class_offsets.push(classes.len());
+        class_offsets.push(0u32);
+        for &count in &class_counts {
+            let end = class_offsets[class_offsets.len() - 1] as usize + count;
+            class_offsets.push(u32::try_from(end).expect("more than u32::MAX history classes"));
         }
+        let horizons: Vec<Time> = runs.iter().map(Run::horizon).collect();
+        let gather_process = |p: usize| gather(&timelines[p], &horizons, class_counts[p]);
+        let blocks: usize = timelines.iter().map(|t| t.blocks.len()).sum();
+        let per_process = if blocks < PARALLEL_GATHER_MIN_BLOCKS {
+            (0..n).map(gather_process).collect()
+        } else {
+            ktudc_par::par_map((0..n).collect(), gather_process)
+        };
+        let classes = per_process.into_iter().flatten().collect();
         System {
             runs,
             n,
             classes,
             class_offsets,
-            run_blocks,
+            timelines,
         }
     }
+}
+
+/// A process's prefix trie and where the previous run left it.
+struct Cursor<'a, M> {
+    /// `(parent class, next event) → child class`; class 0, the empty
+    /// history, is the implicit root.
+    trie: HashMap<(u32, &'a Event<M>), u32, BuildHasherDefault<StableHasher>>,
+    /// The previous run's history of this process.
+    prev: &'a [Event<M>],
+    /// `path[k]` = the class of `prev[..k]`.
+    path: Vec<u32>,
+}
+
+impl<'a, M: Eq + Hash> Cursor<'a, M> {
+    /// Moves to `history`, resolving the class of every prefix into
+    /// `path`. Explored runs arrive in depth-first order, so most of a
+    /// history is usually shared with the previous run's and needs no
+    /// lookup.
+    fn advance(&mut self, history: &'a [Event<M>]) {
+        let shared = self
+            .prev
+            .iter()
+            .zip(history)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.path.truncate(shared + 1);
+        for event in &history[shared..] {
+            let parent = self.path[self.path.len() - 1];
+            let next = self.trie.len() + 1;
+            let class = *self.trie.entry((parent, event)).or_insert_with(|| {
+                u32::try_from(next).expect("more than u32::MAX history classes")
+            });
+            self.path.push(class);
+        }
+        self.prev = history;
+    }
+}
+
+/// One pass over the runs, advancing every process's prefix trie in step:
+/// each run's logs are read once, and class ids come out in first-encounter
+/// order over (run, tick) within each process. Returns the per-process
+/// block tables and class counts.
+fn walk<M: Eq + Hash>(runs: &[Run<M>], n: usize) -> (Vec<Timelines>, Vec<usize>) {
+    let mut cursors: Vec<Cursor<'_, M>> = (0..n)
+        .map(|_| Cursor {
+            trie: HashMap::default(),
+            prev: &[],
+            path: vec![0],
+        })
+        .collect();
+    let mut timelines: Vec<Timelines> = (0..n)
+        .map(|_| Timelines {
+            blocks: Vec::new(),
+            starts: vec![0],
+        })
+        .collect();
+    for run in runs {
+        for (p, (c, t)) in ProcessId::all(n).zip(cursors.iter_mut().zip(&mut timelines)) {
+            c.advance(run.history(p));
+            // Event ticks partition [0, horizon] into blocks of constant
+            // history. By R1/R2 they are >= 1 and strictly increasing, so
+            // every prefix owns a nonempty block and its trie node is its
+            // class.
+            t.blocks.push((0, 0));
+            for ((tick, _), &class) in run.timed_history(p).zip(&c.path[1..]) {
+                debug_assert!(
+                    tick > t.blocks[t.blocks.len() - 1].0,
+                    "event ticks must be >= 1 and strictly increasing"
+                );
+                t.blocks.push((tick, class));
+            }
+            debug_assert!(
+                t.blocks[t.blocks.len() - 1].0 <= run.horizon(),
+                "event beyond the horizon"
+            );
+            t.starts.push(t.blocks.len());
+        }
+    }
+    let counts = cursors.iter().map(|c| c.trie.len() + 1).collect();
+    (timelines, counts)
+}
+
+/// Gathers one process's block table into its `count` classes, each block
+/// list allocated at its exact size. Class ids here are the process-local
+/// ones, so the result is that process's slice of the global class list.
+fn gather(t: &Timelines, horizons: &[Time], count: usize) -> Vec<Vec<IndistinguishableBlock>> {
+    let mut sizes = vec![0usize; count];
+    for &(_, class) in &t.blocks {
+        sizes[class as usize] += 1;
+    }
+    let mut classes: Vec<Vec<IndistinguishableBlock>> =
+        sizes.into_iter().map(Vec::with_capacity).collect();
+    for (run, &horizon) in horizons.iter().enumerate() {
+        let blocks = t.run(run);
+        for (len, &(from, class)) in blocks.iter().enumerate() {
+            let to = blocks.get(len + 1).map_or(horizon, |&(next, _)| next - 1);
+            classes[class as usize].push(IndistinguishableBlock { run, from, to, len });
+        }
+    }
+    classes
 }
 
 impl<M> System<M> {
@@ -201,9 +287,9 @@ impl<M> System<M> {
     pub fn class_id(&self, p: ProcessId, run: usize, m: Time) -> u32 {
         let r = &self.runs[run];
         assert!(m <= r.horizon(), "tick {m} beyond horizon {}", r.horizon());
-        let table = &self.run_blocks[p.index()][run];
-        let i = table.partition_point(|&(from, _)| from <= m) - 1;
-        table[i].1
+        let blocks = self.timelines[p.index()].run(run);
+        let i = blocks.partition_point(|&(from, _)| from <= m) - 1;
+        self.class_offsets[p.index()] + blocks[i].1
     }
 
     /// The blocks of equivalence class `id`.
@@ -221,9 +307,7 @@ impl<M> System<M> {
     /// without touching individual points.
     #[must_use]
     pub fn class_range(&self, p: ProcessId) -> Range<u32> {
-        let lo = self.class_offsets[p.index()] as u32;
-        let hi = self.class_offsets[p.index() + 1] as u32;
-        lo..hi
+        self.class_offsets[p.index()]..self.class_offsets[p.index() + 1]
     }
 
     /// Total number of equivalence classes over all processes.
@@ -286,7 +370,9 @@ impl<M> System<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, RunBuilder};
+    use crate::hashing::hash_history;
+    use crate::{Event, ProcSet, RunBuilder, SuspectReport};
+    use proptest::prelude::*;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -297,6 +383,175 @@ mod tests {
         b.append(p(0), tick, Event::Send { to: p(1), msg: "m" })
             .unwrap();
         b.finish(horizon)
+    }
+
+    /// One run's ascending `(block_start, class_id)` pairs for a process.
+    type BlockTable = Vec<(Time, u32)>;
+
+    /// A run's append script: `(process, tick gap, event kind)` entries.
+    type Script = Vec<(usize, u64, u8)>;
+
+    /// The index as `System::new` built it before the prefix trie: process
+    /// by process, every history prefix is hashed whole and compared
+    /// against the representatives of its hash bucket. Kept as the oracle
+    /// the trie build is tested against. Returns the classes, the class
+    /// offsets, and per process and run the ascending `(block_start,
+    /// class_id)` pairs.
+    fn reference_index<M: Eq + Hash>(
+        runs: &[Run<M>],
+    ) -> (
+        Vec<Vec<IndistinguishableBlock>>,
+        Vec<usize>,
+        Vec<Vec<BlockTable>>,
+    ) {
+        let n = runs[0].n();
+        let mut classes: Vec<Vec<IndistinguishableBlock>> = Vec::new();
+        let mut class_offsets = vec![0];
+        let mut run_blocks = Vec::new();
+        for p in ProcessId::all(n) {
+            let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
+            let mut per_run = Vec::new();
+            for (ri, run) in runs.iter().enumerate() {
+                let mut table = Vec::new();
+                let ticks: Vec<Time> = run.timed_history(p).map(|(t, _)| t).collect();
+                let mut block_start: Time = 0;
+                for (len, boundary) in ticks
+                    .iter()
+                    .copied()
+                    .chain(std::iter::once(run.horizon() + 1))
+                    .enumerate()
+                {
+                    if boundary > block_start {
+                        let history = &run.history(p)[..len];
+                        let candidates = by_hash.entry(hash_history(history)).or_default();
+                        let cid = candidates
+                            .iter()
+                            .copied()
+                            .find(|&c| {
+                                let rep = classes[c as usize][0];
+                                runs[rep.run].history(p)[..rep.len] == *history
+                            })
+                            .unwrap_or_else(|| {
+                                let c = u32::try_from(classes.len()).unwrap();
+                                classes.push(Vec::new());
+                                candidates.push(c);
+                                c
+                            });
+                        classes[cid as usize].push(IndistinguishableBlock {
+                            run: ri,
+                            from: block_start,
+                            to: boundary - 1,
+                            len,
+                        });
+                        table.push((block_start, cid));
+                    }
+                    block_start = boundary;
+                }
+                per_run.push(table);
+            }
+            run_blocks.push(per_run);
+            class_offsets.push(classes.len());
+        }
+        (classes, class_offsets, run_blocks)
+    }
+
+    /// A run over `n` processes from a tiny event alphabet (sends of one of
+    /// two payloads, and suspicions), so that histories in different runs
+    /// often coincide. Each script entry is `(process, tick gap, kind)`;
+    /// appends the builder rejects are skipped.
+    fn small_alphabet_run(n: usize, script: &[(usize, u64, u8)], slack: u64) -> Run<u8> {
+        let mut b = RunBuilder::new(n);
+        let mut last = vec![0; n];
+        for &(pi, gap, kind) in script {
+            let (p, q) = (ProcessId::new(pi % n), ProcessId::new((pi + 1) % n));
+            let event = match kind {
+                0 | 1 => Event::Send { to: q, msg: kind },
+                _ => Event::Suspect(SuspectReport::Standard(ProcSet::singleton(q))),
+            };
+            let tick = last[p.index()] + gap;
+            if b.append(p, tick, event).is_ok() {
+                last[p.index()] = tick;
+            }
+        }
+        b.finish(last.iter().copied().max().unwrap_or(0) + slack)
+    }
+
+    fn runs_strategy() -> impl Strategy<Value = (usize, Vec<(Script, u64)>)> {
+        (
+            2usize..4,
+            proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..3, 1u64..3, 0u8..3), 0..8),
+                    0u64..3,
+                ),
+                2..9,
+            ),
+        )
+    }
+
+    /// Checks that the trie build and the hash-bucket reference agree
+    /// exactly: same class count and ranges, the same blocks under every
+    /// id, and the same class id at every point.
+    fn check_against_reference(runs: Vec<Run<u8>>) -> Result<(), TestCaseError> {
+        let n = runs[0].n();
+        let (classes, offsets, run_blocks) = reference_index(&runs);
+        let sys = System::new(runs);
+        prop_assert_eq!(sys.class_count(), classes.len());
+        for q in ProcessId::all(n) {
+            let range = sys.class_range(q);
+            prop_assert_eq!(
+                (range.start as usize, range.end as usize),
+                (offsets[q.index()], offsets[q.index() + 1])
+            );
+        }
+        for (id, blocks) in classes.iter().enumerate() {
+            prop_assert_eq!(sys.class_blocks(id as u32), blocks.as_slice());
+        }
+        for pt in sys.points() {
+            for q in ProcessId::all(n) {
+                let table = &run_blocks[q.index()][pt.run];
+                let i = table.partition_point(|&(from, _)| from <= pt.time) - 1;
+                prop_assert_eq!(sys.class_id(q, pt.run, pt.time), table[i].1);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn trie_index_matches_the_hash_bucket_reference(input in runs_strategy()) {
+            let (n, scripts) = input;
+            let runs: Vec<Run<u8>> = scripts
+                .iter()
+                .map(|(script, slack)| small_alphabet_run(n, script, *slack))
+                .collect();
+            check_against_reference(runs)?;
+        }
+    }
+
+    #[test]
+    fn parallel_gather_matches_the_hash_bucket_reference() {
+        // Enough runs that the class gather fans out across workers.
+        let runs: Vec<Run<u8>> = (0..20_000u64)
+            .map(|i| {
+                let script: Script = (0..6)
+                    .map(|k| {
+                        (
+                            (i >> k) as usize % 3,
+                            1 + (i >> (2 * k)) % 2,
+                            ((i / 7) >> k) as u8 % 3,
+                        )
+                    })
+                    .collect();
+                small_alphabet_run(3, &script, i % 3)
+            })
+            .collect();
+        let blocks: usize = runs
+            .iter()
+            .flat_map(|r| ProcessId::all(3).map(move |q| r.history(q).len() + 1))
+            .sum();
+        assert!(blocks >= PARALLEL_GATHER_MIN_BLOCKS);
+        check_against_reference(runs).unwrap();
     }
 
     #[test]

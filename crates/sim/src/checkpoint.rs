@@ -33,12 +33,13 @@
 
 use crate::ckpt_codec;
 use crate::explorer::{
-    assemble_subtree_runs, Engine, ExploreResult, Frontier, ReductionStats, FRONTIER_WIDTH,
+    assemble_subtree_runs, Engine, ExploreConfig, ExploreResult, Frontier, ReductionStats,
+    FRONTIER_WIDTH,
 };
 use crate::wire::{ExploreSpec, WireMsg};
 use ktudc_model::budget::{AbortReason, Budget};
 use ktudc_model::{Run, System};
-use ktudc_store::{Journal, SyncPolicy};
+use ktudc_store::{Journal, Recovered, SyncPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -124,9 +125,16 @@ pub fn explore_spec_checkpointed(
     path: &Path,
     sync: SyncPolicy,
 ) -> Result<(ExploreResult<WireMsg>, CheckpointStats), String> {
-    match explore_spec_checkpointed_budgeted(spec, path, sync, None)? {
-        (CheckpointOutcome::Done(result), stats) => Ok((result, stats)),
-        (CheckpointOutcome::Aborted { .. }, _) => {
+    explore_spec_checkpointed_budgeted(spec, path, sync, None).map(finished)
+}
+
+/// The result of an unbudgeted exploration, which always runs to its end.
+fn finished(
+    (outcome, stats): (CheckpointOutcome, CheckpointStats),
+) -> (ExploreResult<WireMsg>, CheckpointStats) {
+    match outcome {
+        CheckpointOutcome::Done(result) => (result, stats),
+        CheckpointOutcome::Aborted { .. } => {
             unreachable!("an unbudgeted exploration cannot abort")
         }
     }
@@ -154,9 +162,26 @@ pub fn explore_spec_checkpointed_budgeted(
     budget: Option<&Budget>,
 ) -> Result<(CheckpointOutcome, CheckpointStats), String> {
     let config = spec.to_config()?;
-    let (mut journal, recovered) = Journal::recover(path, sync)
-        .map_err(|e| format!("checkpoint journal {}: {e}", path.display()))?;
+    let (journal, recovered) = recover(path, sync)?;
+    replay_and_explore(spec, &config, path, journal, &recovered, budget)
+}
 
+/// Opens (or creates) the journal at `path`, truncating any torn tail.
+fn recover(path: &Path, sync: SyncPolicy) -> Result<(Journal, Recovered), String> {
+    Journal::recover(path, sync).map_err(|e| format!("checkpoint journal {}: {e}", path.display()))
+}
+
+/// The body of [`explore_spec_checkpointed_budgeted`] once the journal is
+/// open: replays the recovered entries, then computes and journals the
+/// missing subtrees.
+fn replay_and_explore(
+    spec: &ExploreSpec,
+    config: &ExploreConfig,
+    path: &Path,
+    mut journal: Journal,
+    recovered: &Recovered,
+    budget: Option<&Budget>,
+) -> Result<(CheckpointOutcome, CheckpointStats), String> {
     let mut stats = CheckpointStats {
         replayed_entries: recovered.entries.len() as u64,
         truncated_bytes: recovered.truncated_bytes,
@@ -243,7 +268,7 @@ pub fn explore_spec_checkpointed_budgeted(
         ));
     }
 
-    let engine = Engine::new(&config);
+    let engine = Engine::new(config);
     let Frontier { level, t, p_idx } = engine.frontier(
         &|p| spec.protocol.instantiate(p),
         subtree_target,
@@ -373,33 +398,31 @@ pub fn resume_checkpoint(
             path.display()
         ));
     }
-    let header = {
-        let (journal, recovered) = Journal::recover(path, SyncPolicy::Never)
-            .map_err(|e| format!("checkpoint journal {}: {e}", path.display()))?;
-        drop(journal);
-        let Some(first) = recovered.entries.first() else {
-            return Err(format!(
-                "checkpoint journal {} is empty; nothing to resume",
-                path.display()
-            ));
-        };
-        std::str::from_utf8(first)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<JournalEntry>(s).map_err(|e| e.to_string()))
-            .map_err(|e| {
-                format!(
-                    "checkpoint journal {}: header does not parse ({e})",
-                    path.display()
-                )
-            })?
+    // One recovery: a second would find the torn tail already gone and
+    // report zero truncated bytes.
+    let (journal, recovered) = recover(path, sync)?;
+    let Some(first) = recovered.entries.first() else {
+        return Err(format!(
+            "checkpoint journal {} is empty; nothing to resume",
+            path.display()
+        ));
     };
+    let header = decode_entry(first).map_err(|e| {
+        format!(
+            "checkpoint journal {}: header does not parse ({e})",
+            path.display()
+        )
+    })?;
     let JournalEntry::Header { spec, .. } = header else {
         return Err(format!(
             "checkpoint journal {}: first entry is not a header",
             path.display()
         ));
     };
-    let (result, stats) = explore_spec_checkpointed(&spec, path, sync)?;
+    let config = spec.to_config()?;
+    let (result, stats) = finished(replay_and_explore(
+        &spec, &config, path, journal, &recovered, None,
+    )?);
     Ok((spec, result, stats))
 }
 
@@ -597,6 +620,23 @@ mod tests {
         let (recovered_spec, result, _stats) =
             resume_checkpoint(&tmp.0, SyncPolicy::Never).unwrap();
         assert_eq!(recovered_spec, spec);
+        assert_eq!(system_digest(&result.system), baseline.digest);
+    }
+
+    #[test]
+    fn resume_reports_the_torn_bytes_it_truncated() {
+        let tmp = TempPath::new("resume-torn");
+        let spec = oneshot_spec();
+        let baseline = run_explore_spec(&spec).unwrap();
+        explore_spec_checkpointed(&spec, &tmp.0, SyncPolicy::Never).unwrap();
+
+        // Dropping the last byte always leaves a torn final frame.
+        let bytes = std::fs::read(&tmp.0).unwrap();
+        std::fs::write(&tmp.0, &bytes[..bytes.len() - 1]).unwrap();
+
+        let (_, result, stats) = resume_checkpoint(&tmp.0, SyncPolicy::Never).unwrap();
+        assert!(stats.truncated_bytes > 0, "{stats:?}");
+        assert!(stats.computed_subtrees > 0, "{stats:?}");
         assert_eq!(system_digest(&result.system), baseline.digest);
     }
 
