@@ -946,7 +946,7 @@ fn recovery_workload(smoke: bool) -> RecoveryBench {
 /// daemon as one pipelined batch — cold (every request computed), then
 /// warm (every request answered from the scenario cache).
 fn via_serve_workload(smoke: bool) -> ViaServeReport {
-    use ktudc_serve::{serve, Client, RequestKind, ServeConfig};
+    use ktudc_serve::{serve, Client, Endpoints, RequestKind, ServeConfig};
 
     let count = if smoke { 4 } else { 8 };
     let kinds: Vec<RequestKind> = (0..count)
@@ -1015,7 +1015,7 @@ fn via_serve_workload(smoke: bool) -> ViaServeReport {
 /// byte-identical to the single daemon's.
 fn cluster_workload(smoke: bool) -> ClusterReport {
     use ktudc_serve::{
-        serve, Client, ClusterClient, Membership, RequestKind, RetryPolicy, ServeConfig,
+        serve, Client, ClusterClient, Endpoints, Membership, RequestKind, RetryPolicy, ServeConfig,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -1151,7 +1151,7 @@ fn cluster_workload(smoke: bool) -> ClusterReport {
 fn overload_workload(smoke: bool) -> OverloadReport {
     use ktudc_model::Budget;
     use ktudc_serve::{
-        serve, Client, ErrorCode, RequestKind, RequestOptions, ResponseKind, ServeConfig,
+        serve, Client, Endpoints, ErrorCode, RequestKind, RequestOptions, ResponseKind, ServeConfig,
     };
     use ktudc_sim::{
         explore_spec_checkpointed, explore_spec_checkpointed_budgeted, run_explore_spec,
@@ -1448,8 +1448,8 @@ fn fd_zoo_workload(smoke: bool) -> FdZooReport {
 fn fd_live_workload(smoke: bool) -> FdLiveReport {
     use ktudc_fd::{condense_class, EmpiricalClass};
     use ktudc_serve::{
-        chaos_proxy, serve, Auditor, ChaosProxy, Client, ClusterClient, DetectorConfig, HashRing,
-        Membership, RequestKind, RetryPolicy, ServeConfig, Toxic, ToxicPlan,
+        chaos_proxy, serve, Auditor, ChaosProxy, Client, ClusterClient, DetectorConfig, Endpoints,
+        HashRing, Membership, RequestKind, RetryPolicy, ServeConfig, Toxic, ToxicPlan,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -1709,8 +1709,8 @@ fn fd_live_workload(smoke: bool) -> FdLiveReport {
 /// workers. Any regime failing its audit is a bench failure.
 fn chaos_net_workload(smoke: bool) -> ChaosNetReport {
     use ktudc_serve::{
-        chaos_proxy, serve, Auditor, Client, HardenedClient, RequestKind, RetryPolicy, ServeConfig,
-        Toxic, ToxicPlan,
+        chaos_proxy, serve, Auditor, Client, Endpoints, HardenedClient, RequestKind, RetryPolicy,
+        ServeConfig, Toxic, ToxicPlan,
     };
     use std::time::Duration;
 

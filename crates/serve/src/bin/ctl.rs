@@ -50,8 +50,8 @@
 use ktudc_core::harness::{CellSpec, FdChoice, ProtocolChoice};
 use ktudc_fd::{ClassifySpec, DetectorKind, FaultRegime};
 use ktudc_serve::{
-    Client, ClientError, ClusterClient, HardenedClient, Membership, RequestKind, RequestOptions,
-    Response, ResponseKind, RetryPolicy,
+    Client, ClientError, ClusterClient, Endpoints, HardenedClient, Membership, RequestKind,
+    RequestOptions, Response, ResponseKind, RetryPolicy,
 };
 use std::sync::Arc;
 

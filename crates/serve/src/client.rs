@@ -4,7 +4,9 @@
 //! before reading any response (the requests pipeline through the
 //! server's worker pool and complete in whatever order they finish),
 //! then reads one line per request and reorders the responses by their
-//! echoed `id`s. [`Client::request`] is the batch of one.
+//! echoed `id`s. [`Client::request`] is the batch of one. The typed
+//! endpoint calls (`stats`, `health`, `ping`, …) are the [`Endpoints`]
+//! trait, written once for both client types.
 //!
 //! [`HardenedClient`] wraps `Client` with the fault-masking policy of a
 //! production caller: per-request socket deadlines, reconnect-and-resend
@@ -287,98 +289,114 @@ impl Client {
         }
         (got, None)
     }
+}
 
-    /// Fetches a metrics snapshot.
+/// The typed endpoint calls — send one request, expect one payload
+/// variant — written once for every client type. Each call fails as the
+/// implementor's [`Endpoints::request`] does, or with
+/// [`ClientError::Protocol`] when the server answers with any other
+/// payload.
+pub trait Endpoints {
+    /// Sends one request and waits for its response.
     ///
     /// # Errors
     ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a stats payload.
-    pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        match self.request(RequestKind::Stats)?.result {
+    /// The implementor's transport and protocol failures.
+    fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError>;
+
+    /// Sends `kind` and keeps the payload `pick` accepts; `what` names
+    /// it in the mismatch error.
+    ///
+    /// # Errors
+    ///
+    /// As [`Endpoints::request`], or a mismatched payload.
+    fn call<T>(
+        &mut self,
+        kind: RequestKind,
+        what: &str,
+        pick: impl FnOnce(Response) -> Result<T, Box<ResponseKind>>,
+    ) -> Result<T, ClientError> {
+        pick(self.request(kind)?)
+            .map_err(|other| ClientError::Protocol(format!("expected {what}, got {other:?}")))
+    }
+
+    /// Fetches a metrics snapshot.
+    fn stats(&mut self) -> Result<StatsReport, ClientError> {
+        self.call(RequestKind::Stats, "a stats payload", |r| match r.result {
             ResponseKind::Stats(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a stats payload, got {other:?}"
-            ))),
-        }
+            other => Err(Box::new(other)),
+        })
     }
 
     /// Fetches a durability health snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a health payload.
-    pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        match self.request(RequestKind::Health)?.result {
-            ResponseKind::Health(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a health payload, got {other:?}"
-            ))),
-        }
+    fn health(&mut self) -> Result<HealthReport, ClientError> {
+        self.call(RequestKind::Health, "a health payload", |r| {
+            match r.result {
+                ResponseKind::Health(report) => Ok(report),
+                other => Err(Box::new(other)),
+            }
+        })
     }
 
     /// Fetches a cluster health snapshot (per-shard rows + aggregate).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a cluster-health payload.
-    pub fn cluster_health(&mut self) -> Result<ClusterHealthReport, ClientError> {
-        match self.request(RequestKind::ClusterHealth)?.result {
-            ResponseKind::ClusterHealth(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a cluster-health payload, got {other:?}"
-            ))),
-        }
+    fn cluster_health(&mut self) -> Result<ClusterHealthReport, ClientError> {
+        self.call(
+            RequestKind::ClusterHealth,
+            "a cluster-health payload",
+            |r| match r.result {
+                ResponseKind::ClusterHealth(report) => Ok(report),
+                other => Err(Box::new(other)),
+            },
+        )
     }
 
-    /// Classifies an empirical detector against a fault regime.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a classification verdict.
-    pub fn classify(&mut self, spec: ClassifySpec) -> Result<RegimeVerdict, ClientError> {
-        match self.request(RequestKind::Classify(spec))?.result {
-            ResponseKind::Classify(verdict) => Ok(verdict),
-            other => Err(ClientError::Protocol(format!(
-                "expected a classification verdict, got {other:?}"
-            ))),
-        }
+    /// Classifies an empirical detector against a fault regime
+    /// (deterministic per spec and memoized, so a resend is harmless).
+    fn classify(&mut self, spec: ClassifySpec) -> Result<RegimeVerdict, ClientError> {
+        self.call(
+            RequestKind::Classify(spec),
+            "a classification verdict",
+            |r| match r.result {
+                ResponseKind::Classify(verdict) => Ok(verdict),
+                other => Err(Box::new(other)),
+            },
+        )
     }
 
     /// Sends a heartbeat probe (schema v6); returns the server's
     /// generation from the response envelope. Answered inline by the
     /// server, never queued behind compute — this is the detector
     /// plane's liveness signal.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a pong.
-    pub fn ping(&mut self) -> Result<u64, ClientError> {
-        let response = self.request(RequestKind::Ping)?;
-        match response.result {
-            ResponseKind::Pong => Ok(response.generation),
-            other => Err(ClientError::Protocol(format!(
-                "expected a pong, got {other:?}"
-            ))),
-        }
+    fn ping(&mut self) -> Result<u64, ClientError> {
+        self.call(RequestKind::Ping, "a pong", |r| match r.result {
+            ResponseKind::Pong => Ok(r.generation),
+            other => Err(Box::new(other)),
+        })
     }
 
-    /// Asks the server to drain and exit.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::stats`], for the shutdown acknowledgement.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.request(RequestKind::Shutdown)?.result {
-            ResponseKind::Shutdown => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected a shutdown acknowledgement, got {other:?}"
-            ))),
-        }
+    /// Asks the server to drain and exit (idempotent, so a resend is
+    /// harmless).
+    fn shutdown_server(&mut self) -> Result<(), ClientError> {
+        self.call(
+            RequestKind::Shutdown,
+            "a shutdown acknowledgement",
+            |r| match r.result {
+                ResponseKind::Shutdown => Ok(()),
+                other => Err(Box::new(other)),
+            },
+        )
+    }
+}
+
+impl Endpoints for Client {
+    fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
+        Client::request(self, kind)
+    }
+}
+
+impl Endpoints for HardenedClient {
+    fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
+        HardenedClient::request(self, kind)
     }
 }
 
@@ -768,7 +786,12 @@ impl HardenedClient {
                     self.conn = None;
                     self.spend_attempt(&mut attempts, &e.to_string(), Duration::ZERO)?;
                 }
-                Some(e) => return Err(e),
+                Some(e) => {
+                    // The stream may be desynchronized: drop it so this
+                    // client is always safe to reuse for the next call.
+                    self.conn = None;
+                    return Err(e);
+                }
             }
         }
     }
@@ -799,85 +822,6 @@ impl HardenedClient {
         responses
             .pop()
             .ok_or_else(|| ClientError::Protocol("empty batch response".to_string()))
-    }
-
-    /// Fetches a metrics snapshot, masking faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::request`], plus [`ClientError::Protocol`]
-    /// when the server answers with anything but a stats payload.
-    pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        match self.request(RequestKind::Stats)?.result {
-            ResponseKind::Stats(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a stats payload, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches a durability health snapshot, masking faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::request`], plus [`ClientError::Protocol`]
-    /// when the server answers with anything but a health payload.
-    pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        match self.request(RequestKind::Health)?.result {
-            ResponseKind::Health(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a health payload, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches a cluster health snapshot, masking faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::request`], plus [`ClientError::Protocol`]
-    /// when the server answers with anything but a cluster-health
-    /// payload.
-    pub fn cluster_health(&mut self) -> Result<ClusterHealthReport, ClientError> {
-        match self.request(RequestKind::ClusterHealth)?.result {
-            ResponseKind::ClusterHealth(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a cluster-health payload, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Classifies an empirical detector against a fault regime, masking
-    /// faults (classification is deterministic per spec and memoized, so
-    /// a resend is harmless).
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::request`], plus [`ClientError::Protocol`]
-    /// when the server answers with anything but a classification
-    /// verdict.
-    pub fn classify(&mut self, spec: ClassifySpec) -> Result<RegimeVerdict, ClientError> {
-        match self.request(RequestKind::Classify(spec))?.result {
-            ResponseKind::Classify(verdict) => Ok(verdict),
-            other => Err(ClientError::Protocol(format!(
-                "expected a classification verdict, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Asks the server to drain and exit, masking faults (shutdown is
-    /// idempotent, so a resend is harmless).
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::stats`], for the shutdown acknowledgement.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.request(RequestKind::Shutdown)?.result {
-            ResponseKind::Shutdown => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected a shutdown acknowledgement, got {other:?}"
-            ))),
-        }
     }
 }
 

@@ -11,13 +11,14 @@
 //!   under a fleet supervisor re-bind ephemeral ports, so addresses are
 //!   *state*, not configuration; everything that talks to a shard reads
 //!   the table at call time.
-//! - [`ClusterClient`] — a [`HardenedClient`] per shard with failover:
-//!   when a shard is down (transport error, retries exhausted, open
+//! - [`ClusterClient`] — the one failover engine, called directly and
+//!   by the [`crate::router`]: a per-shard pool of [`HardenedClient`]s,
+//!   and when a shard is down (transport error, retries exhausted, open
 //!   breaker) or sheds with `Overloaded`/`DeadlineExceeded`, the request
 //!   is retried on the next replica in ring order. Generations are
-//!   tracked *per shard*, so a worker restart surfaces as a typed
-//!   [`ClusterEvent::WorkerRestarted`] for that shard even when the
-//!   respawned worker came back on a different port.
+//!   tracked *per shard*, so a worker restart counts once in
+//!   [`ClusterMetrics::worker_restarts`] even when the respawned worker
+//!   came back on a different port.
 //! - [`Fleet`] + [`launch_fleet`] — runs N workers under the existing
 //!   crash-loop [`supervise`] machinery, one supervisor thread per
 //!   shard, updating [`Membership`] from each worker's boot banner.
@@ -28,7 +29,7 @@
 //! the direct computation.
 
 use crate::cache::LruCache;
-use crate::client::{ClientError, ClientMetrics, HardenedClient, RetryPolicy};
+use crate::client::{ClientError, Endpoints, HardenedClient, RetryPolicy};
 use crate::detector::{DetectorConfig, DetectorPlane};
 use crate::metrics::StatsReport;
 use crate::ring::HashRing;
@@ -102,24 +103,6 @@ impl Membership {
     }
 }
 
-/// A noteworthy event observed by a [`ClusterClient`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClusterEvent {
-    /// Shard `shard`'s responses started arriving from a different
-    /// worker generation: that worker restarted. Tracked per shard (not
-    /// per connection), so it fires exactly once per observed restart
-    /// even when the respawned worker came back on a new port and the
-    /// underlying connection was rebuilt.
-    WorkerRestarted {
-        /// Which shard restarted.
-        shard: usize,
-        /// Generation observed from the shard before the change.
-        old_gen: u64,
-        /// Generation that revealed the restart.
-        new_gen: u64,
-    },
-}
-
 /// Counters of what a [`ClusterClient`] has masked or observed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClusterMetrics {
@@ -128,66 +111,67 @@ pub struct ClusterMetrics {
     pub failovers: u64,
     /// Worker restarts detected via a per-shard generation change.
     pub worker_restarts: u64,
-    /// The per-shard [`HardenedClient`] counters, indexed by shard.
-    pub per_shard: Vec<ClientMetrics>,
 }
 
-/// Per-shard connection state guarded by one mutex per shard.
-struct ShardState {
-    /// The address this client was built for; rebuilt when membership
-    /// moves the shard.
+/// Idle connections kept per shard. Checkouts beyond this are created
+/// fresh and dropped at checkin once the pool is full, so a burst can
+/// still fan out while steady state stays at a bounded socket count.
+const POOL_PER_SHARD: usize = 8;
+
+/// Sentinel for "no generation observed yet" in the per-shard table
+/// (real generations start at 0 for non-durable workers).
+const GEN_UNSEEN: u64 = u64::MAX;
+
+/// One pooled connection; discarded when membership moves its shard to
+/// a different address.
+struct PooledConn {
     addr: String,
     client: HardenedClient,
-    /// Last generation observed from this *shard* (survives client
-    /// rebuilds, which is what makes restart detection per-worker).
-    last_gen: Option<u64>,
 }
 
-/// A cluster-aware client: one [`HardenedClient`] per shard, requests
-/// routed by cache key over the [`HashRing`], failover to the next
-/// replica when a shard is down or shedding.
+/// A cluster-aware client: requests routed by cache key over the
+/// [`HashRing`], failover to the next replica when a shard is down or
+/// shedding. This is the one failover engine: the router forwards
+/// through a `ClusterClient` too.
 ///
-/// Thread-safe: batches fan sub-batches out across shards on scoped
-/// threads, and independent callers may share one instance (per-shard
-/// state is mutex-guarded).
+/// Thread-safe, and concurrent callers are not serialized per shard:
+/// each call checks a [`HardenedClient`] out of the shard's pool (or
+/// opens a new one) and checks it back in afterwards, so several
+/// requests can be in flight to one shard at once. Each pooled
+/// connection carries its own retry budget and circuit breaker.
 pub struct ClusterClient {
     membership: Arc<Membership>,
     ring: HashRing,
     policy: RetryPolicy,
-    shards: Vec<Mutex<ShardState>>,
+    /// Idle connections, per shard.
+    idle: Vec<Mutex<Vec<PooledConn>>>,
+    /// Last generation observed per shard ([`GEN_UNSEEN`] until the
+    /// first response). Kept per shard, not per connection, so a restart
+    /// counts once however many connections see it, and survives the
+    /// connection churn of a worker that came back on a new port.
+    last_gen: Vec<AtomicU64>,
     failovers: AtomicU64,
     worker_restarts: AtomicU64,
-    events: Mutex<Vec<ClusterEvent>>,
     /// Optional live failure-detector plane: suspected shards are
     /// demoted at routing time, soft-suspected primaries are hedged.
     detector: Option<Arc<DetectorPlane>>,
 }
 
 impl ClusterClient {
-    /// A client over `membership` (no connections are made yet). Each
-    /// shard gets its own independent copy of `policy` — per-shard
-    /// retry budgets, backoff schedules, and circuit breakers.
+    /// A client over `membership` (no connections are made yet). Every
+    /// pooled connection gets its own copy of `policy` — its own retry
+    /// budget, backoff schedule, and circuit breaker.
     #[must_use]
     pub fn new(membership: Arc<Membership>, policy: RetryPolicy) -> ClusterClient {
         let shards = membership.len();
-        let states = (0..shards)
-            .map(|shard| {
-                let addr = membership.addr(shard);
-                Mutex::new(ShardState {
-                    client: HardenedClient::new(addr.clone(), policy),
-                    addr,
-                    last_gen: None,
-                })
-            })
-            .collect();
         ClusterClient {
             ring: HashRing::new(shards),
             membership,
             policy,
-            shards: states,
+            idle: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            last_gen: (0..shards).map(|_| AtomicU64::new(GEN_UNSEEN)).collect(),
             failovers: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
             detector: None,
         }
     }
@@ -229,44 +213,74 @@ impl ClusterClient {
         &self.ring
     }
 
-    /// Runs `f` against `shard`'s client, rebuilding the client first if
-    /// membership moved the shard, and folding any generation change
-    /// into per-shard restart tracking afterwards.
+    /// Runs `f` on a connection checked out of `shard`'s pool, folds any
+    /// new generation it saw into the per-shard restart tracking, and
+    /// checks the connection back in. Pooled connections that predate a
+    /// membership change are discarded at checkout. A [`HardenedClient`]
+    /// drops a desynchronized stream itself, so every outcome checks
+    /// back in — which is what keeps a breaker's state across calls.
     fn with_shard<T>(&self, shard: usize, f: impl FnOnce(&mut HardenedClient) -> T) -> T {
-        let mut state = self.shards[shard].lock().expect("shard lock poisoned");
-        let current = self.membership.addr(shard);
-        if state.addr != current {
-            state.addr = current.clone();
-            state.client = HardenedClient::new(current, self.policy);
-        }
-        let out = f(&mut state.client);
+        let addr = self.membership.addr(shard);
+        let pooled = {
+            let mut idle = self.idle[shard].lock().expect("conn pool lock poisoned");
+            // Stale addresses are dropped: the worker moved.
+            std::iter::from_fn(|| idle.pop()).find(|conn| conn.addr == addr)
+        };
+        let mut conn = pooled.unwrap_or_else(|| PooledConn {
+            client: HardenedClient::new(addr.clone(), self.policy),
+            addr,
+        });
+        let before = conn.client.last_generation();
+        let out = f(&mut conn.client);
         // The per-connection events are subsumed by per-shard tracking;
         // drain them so they cannot accumulate unread.
-        let _ = state.client.take_events();
-        if let Some(new_gen) = state.client.last_generation() {
-            if let Some(old_gen) = state.last_gen {
-                if old_gen != new_gen {
-                    self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    self.events.lock().expect("events lock poisoned").push(
-                        ClusterEvent::WorkerRestarted {
-                            shard,
-                            old_gen,
-                            new_gen,
-                        },
-                    );
-                }
+        let _ = conn.client.take_events();
+        // Only a generation this call read counts: a pooled connection's
+        // older one must not roll the shard back and fake a restart.
+        if let Some(generation) = conn.client.last_generation().filter(|&g| Some(g) != before) {
+            let old = self.last_gen[shard].swap(generation, Ordering::SeqCst);
+            if old != GEN_UNSEEN && old != generation {
+                self.worker_restarts.fetch_add(1, Ordering::Relaxed);
             }
-            state.last_gen = Some(new_gen);
+        }
+        let mut idle = self.idle[shard].lock().expect("conn pool lock poisoned");
+        if idle.len() < POOL_PER_SHARD && conn.addr == self.membership.addr(shard) {
+            idle.push(conn);
         }
         out
     }
 
-    /// Last generation observed from `shard`, across client rebuilds.
-    fn last_gen(&self, shard: usize) -> Option<u64> {
-        self.shards[shard]
-            .lock()
-            .expect("shard lock poisoned")
-            .last_gen
+    /// Last generation observed from `shard` (0 before any response).
+    fn last_gen(&self, shard: usize) -> u64 {
+        match self.last_gen[shard].load(Ordering::SeqCst) {
+            GEN_UNSEEN => 0,
+            generation => generation,
+        }
+    }
+
+    /// One try against one shard; the response is stamped with the
+    /// shard when the worker did not stamp it.
+    fn try_one(
+        &self,
+        shard: usize,
+        kind: &RequestKind,
+        options: RequestOptions,
+    ) -> Result<Response, ClientError> {
+        self.with_shard(shard, |c| c.request_with_options(kind.clone(), options))
+            .map(|mut resp| {
+                resp.shard.get_or_insert(shard);
+                resp
+            })
+    }
+
+    /// Whether a response is a typed shed (kept as last resort, never a
+    /// winning answer while another replica might still compute).
+    fn is_shed(resp: &Response) -> bool {
+        matches!(
+            &resp.result,
+            ResponseKind::Error(e)
+                if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
+        )
     }
 
     /// Tries `kind` on each shard of `order` in turn. `attempted` is how
@@ -291,22 +305,9 @@ impl ClusterClient {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
             }
             attempted += 1;
-            match self.with_shard(shard, |c| c.request_with_options(kind.clone(), options)) {
-                Ok(mut resp) => {
-                    if resp.shard.is_none() {
-                        resp.shard = Some(shard);
-                    }
-                    let shed = matches!(
-                        &resp.result,
-                        ResponseKind::Error(e)
-                            if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
-                    );
-                    if shed {
-                        last_shed = Some(resp);
-                    } else {
-                        return Ok(resp);
-                    }
-                }
+            match self.try_one(shard, kind, options) {
+                Ok(resp) if Self::is_shed(&resp) => last_shed = Some(resp),
+                Ok(resp) => return Ok(resp),
                 Err(e) => last_err = Some(e),
             }
         }
@@ -315,6 +316,35 @@ impl ClusterClient {
             None => Err(last_err
                 .unwrap_or_else(|| ClientError::Protocol("cluster has no shards".to_string()))),
         }
+    }
+
+    /// The ring's replica order for `kind`, with suspected shards
+    /// demoted behind the rest, and how many tries that already counts
+    /// as: 1 when the owner was demoted, because the request is then
+    /// served by a replica — a failover that pays no timeout.
+    fn order(&self, kind: &RequestKind) -> (Vec<usize>, u32) {
+        let mut order = self.ring.replicas(Self::shard_key(kind));
+        let mut attempted = 0;
+        if let Some(plane) = &self.detector {
+            if plane.prefer_unsuspected(&mut order) {
+                plane.note_proactive_failover();
+                attempted = 1;
+            }
+        }
+        (order, attempted)
+    }
+
+    /// The non-hedging send the router forwards through: ring order,
+    /// detector demotion, then [`ClusterClient::try_order`]. A fan-in
+    /// point must not hedge — duplicating every soft-suspect request
+    /// would multiply fleet load exactly when the fleet is struggling.
+    pub(crate) fn forward(
+        &self,
+        kind: &RequestKind,
+        options: RequestOptions,
+    ) -> Result<Response, ClientError> {
+        let (order, attempted) = self.order(kind);
+        self.try_order(kind, options, &order, attempted)
     }
 
     /// Sends one request to its owner shard, failing over through the
@@ -328,7 +358,8 @@ impl ClusterClient {
         self.request_with_options(kind, RequestOptions::default())
     }
 
-    /// As [`ClusterClient::request`], with per-request [`RequestOptions`].
+    /// As [`ClusterClient::request`], with per-request [`RequestOptions`]:
+    /// the router's path plus hedging of a soft-suspected primary.
     ///
     /// # Errors
     ///
@@ -338,49 +369,13 @@ impl ClusterClient {
         kind: RequestKind,
         options: RequestOptions,
     ) -> Result<Response, ClientError> {
-        let mut order = self.ring.replicas(Self::shard_key(&kind));
-        let mut attempted = 0;
-        if let Some(plane) = &self.detector {
-            if plane.prefer_unsuspected(&mut order) {
-                // The owner is suspected: route straight to a replica.
-                // Passing `attempted: 1` makes try_order count the very
-                // first try as a failover, same meaning as the reactive
-                // counter ("answered by a replica other than the owner").
-                plane.note_proactive_failover();
-                attempted = 1;
+        let (order, attempted) = self.order(&kind);
+        match &self.detector {
+            Some(plane) if order.len() >= 2 && plane.should_hedge(order[0]) => {
+                self.hedged(&kind, options, &order, attempted, plane)
             }
-            if order.len() >= 2 && plane.should_hedge(order[0]) {
-                return self.hedged(&kind, options, &order, attempted, plane);
-            }
+            _ => self.try_order(&kind, options, &order, attempted),
         }
-        self.try_order(&kind, options, &order, attempted)
-    }
-
-    /// One try against one shard, preserving the typed-shed-as-`Ok`
-    /// convention of [`ClusterClient::try_order`].
-    fn try_one(
-        &self,
-        shard: usize,
-        kind: &RequestKind,
-        options: RequestOptions,
-    ) -> Result<Response, ClientError> {
-        self.with_shard(shard, |c| c.request_with_options(kind.clone(), options))
-            .map(|mut resp| {
-                if resp.shard.is_none() {
-                    resp.shard = Some(shard);
-                }
-                resp
-            })
-    }
-
-    /// Whether a response is a typed shed (kept as last resort, never a
-    /// winning answer while another replica might still compute).
-    fn is_shed(resp: &Response) -> bool {
-        matches!(
-            &resp.result,
-            ResponseKind::Error(e)
-                if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
-        )
     }
 
     /// Hedges a request whose primary's φ crossed the soft threshold:
@@ -552,17 +547,10 @@ impl ClusterClient {
             Ok(responses) if responses.len() == indices.len() => {
                 for (offset, mut resp) in responses.into_iter().enumerate() {
                     let i = indices[offset];
-                    let shed = matches!(
-                        &resp.result,
-                        ResponseKind::Error(e)
-                            if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
-                    );
-                    let outcome = if shed {
+                    let outcome = if Self::is_shed(&resp) {
                         self.fail_over(i, kinds, shard, Some(resp))
                     } else {
-                        if resp.shard.is_none() {
-                            resp.shard = Some(shard);
-                        }
+                        resp.shard.get_or_insert(shard);
                         Ok(resp)
                     };
                     *slots[i].lock().expect("slot lock poisoned") = Some(outcome);
@@ -617,53 +605,37 @@ impl ClusterClient {
     /// request as a one-shard cluster, so nothing is lost either way.
     #[must_use]
     pub fn cluster_health(&self) -> ClusterHealthReport {
-        if self.ring.shards() == 1 {
-            if let Ok(mut report) = self.with_shard(0, HardenedClient::cluster_health) {
-                if let Some(plane) = &self.detector {
-                    plane.annotate(&mut report);
-                }
-                return report;
-            }
-        }
-        let rows: Vec<ShardHealth> = std::thread::scope(|scope| {
-            let probes: Vec<_> = (0..self.ring.shards())
-                .map(|shard| {
-                    scope.spawn(move || {
+        let fleet_view = if self.ring.shards() == 1 {
+            self.with_shard(0, Endpoints::cluster_health).ok()
+        } else {
+            None
+        };
+        let mut report = fleet_view.unwrap_or_else(|| {
+            let rows = std::thread::scope(|scope| {
+                let probes: Vec<_> = (0..self.ring.shards())
+                    .map(|shard| scope.spawn(move || self.with_shard(shard, Endpoints::health)))
+                    .collect();
+                probes
+                    .into_iter()
+                    .enumerate()
+                    .map(|(shard, probe)| {
                         let addr = self.membership.addr(shard);
-                        match self.with_shard(shard, |c| c.health()) {
-                            Ok(report) => {
+                        match probe.join() {
+                            Ok(Ok(report)) => {
                                 ShardHealth::new(shard, addr, true, report.generation, Some(report))
                             }
-                            Err(_) => ShardHealth::new(
-                                shard,
-                                addr,
-                                false,
-                                self.last_gen(shard).unwrap_or(0),
-                                None,
-                            ),
+                            // A failed or even panicking probe must not
+                            // take the whole report down with it: report
+                            // that shard as unreachable.
+                            Ok(Err(_)) | Err(_) => {
+                                ShardHealth::new(shard, addr, false, self.last_gen(shard), None)
+                            }
                         }
                     })
-                })
-                .collect();
-            probes
-                .into_iter()
-                .enumerate()
-                .map(|(shard, p)| {
-                    // A panicking probe must not take the whole report
-                    // down with it: report that shard as unreachable.
-                    p.join().unwrap_or_else(|_| {
-                        ShardHealth::new(
-                            shard,
-                            self.membership.addr(shard),
-                            false,
-                            self.last_gen(shard).unwrap_or(0),
-                            None,
-                        )
-                    })
-                })
-                .collect()
+                    .collect()
+            });
+            ClusterHealthReport::aggregate(rows)
         });
-        let mut report = ClusterHealthReport::aggregate(rows);
         if let Some(plane) = &self.detector {
             plane.annotate(&mut report);
         }
@@ -675,7 +647,7 @@ impl ClusterClient {
     #[must_use]
     pub fn stats_per_shard(&self) -> Vec<(usize, Result<StatsReport, ClientError>)> {
         (0..self.ring.shards())
-            .map(|shard| (shard, self.with_shard(shard, HardenedClient::stats)))
+            .map(|shard| (shard, self.with_shard(shard, Endpoints::stats)))
             .collect()
     }
 
@@ -683,10 +655,7 @@ impl ClusterClient {
     /// (already-dead shards are not an error — the goal state is "down").
     pub fn shutdown_cluster(&self) -> usize {
         (0..self.ring.shards())
-            .filter(|&shard| {
-                self.with_shard(shard, HardenedClient::shutdown_server)
-                    .is_ok()
-            })
+            .filter(|&shard| self.with_shard(shard, Endpoints::shutdown_server).is_ok())
             .count()
     }
 
@@ -696,21 +665,7 @@ impl ClusterClient {
         ClusterMetrics {
             failovers: self.failovers.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            per_shard: (0..self.ring.shards())
-                .map(|shard| {
-                    self.shards[shard]
-                        .lock()
-                        .expect("shard lock poisoned")
-                        .client
-                        .metrics()
-                })
-                .collect(),
         }
-    }
-
-    /// Drains the accumulated [`ClusterEvent`]s (oldest first).
-    pub fn take_events(&self) -> Vec<ClusterEvent> {
-        std::mem::take(&mut *self.events.lock().expect("events lock poisoned"))
     }
 }
 
@@ -873,7 +828,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{serve, ServeConfig};
+    use crate::server::{serve, ServeConfig, ServerFaults};
     use ktudc_core::harness::{CellSpec, FdChoice, ProtocolChoice};
 
     fn quick_policy() -> RetryPolicy {
@@ -1047,5 +1002,41 @@ mod tests {
         let resp = cluster.request(cheap_cell(0)).expect("healed");
         assert!(matches!(resp.result, ResponseKind::Cell(_)));
         a.shutdown();
+    }
+
+    #[test]
+    fn concurrent_callers_on_one_shard_are_not_serialized() {
+        // Every second response is held for 2 s: the warm-up call takes
+        // response 1, the slow caller response 2, the fast caller 3.
+        let server = serve(&ServeConfig {
+            workers: 2,
+            faults: ServerFaults {
+                delay_every: Some((2, Duration::from_secs(2))),
+                ..ServerFaults::default()
+            },
+            ..ServeConfig::default()
+        })
+        .expect("serve");
+        let membership = Arc::new(Membership::new(vec![server.addr().to_string()]));
+        let cluster = ClusterClient::new(membership, quick_policy());
+        cluster.request(cheap_cell(0)).expect("warm-up");
+        let slow_done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                cluster.request(cheap_cell(1)).expect("slow call");
+                slow_done.store(true, Ordering::SeqCst);
+            });
+            // Let the slow call claim the held response before the fast
+            // one is sent.
+            std::thread::sleep(Duration::from_millis(300));
+            let fast = cluster.request(cheap_cell(2)).expect("fast call");
+            assert!(matches!(fast.result, ResponseKind::Cell(_)));
+            assert!(
+                !slow_done.load(Ordering::SeqCst),
+                "the second caller waited for the first: per-shard calls are serialized"
+            );
+        });
+        assert!(slow_done.load(Ordering::SeqCst));
+        server.shutdown();
     }
 }

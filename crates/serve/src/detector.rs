@@ -34,7 +34,7 @@
 //! probation annotations) and by [`ClusterClient`](crate::cluster::ClusterClient)
 //! (routing-time skip + hedged requests).
 
-use crate::client::Client;
+use crate::client::{Client, Endpoints};
 use crate::cluster::Membership;
 use crate::metrics::SuspicionStats;
 use crate::wire::ClusterHealthReport;

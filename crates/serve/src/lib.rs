@@ -74,6 +74,7 @@ pub mod chaosnet;
 pub mod client;
 pub mod cluster;
 pub mod detector;
+mod listener;
 pub mod metrics;
 pub mod ring;
 pub mod router;
@@ -84,8 +85,10 @@ pub mod wire;
 pub use admission::{AimdConfig, AimdController, JobRegistry};
 pub use audit::{AuditReport, Auditor, FailureCount};
 pub use chaosnet::{chaos_proxy, ChaosProxy, ChaosStatsSnapshot, Direction, Toxic, ToxicPlan};
-pub use client::{Client, ClientError, ClientEvent, ClientMetrics, HardenedClient, RetryPolicy};
-pub use cluster::{launch_fleet, ClusterClient, ClusterEvent, ClusterMetrics, Fleet, Membership};
+pub use client::{
+    Client, ClientError, ClientEvent, ClientMetrics, Endpoints, HardenedClient, RetryPolicy,
+};
+pub use cluster::{launch_fleet, ClusterClient, ClusterMetrics, Fleet, Membership};
 pub use detector::{DetectorConfig, DetectorPlane, ShardSuspicion};
 pub use metrics::{Endpoint, StatsReport, SuspicionStats};
 pub use ring::HashRing;

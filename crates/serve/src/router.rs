@@ -1,70 +1,42 @@
 //! The cluster router: a front-end process that consistent-hashes
 //! requests onto worker shards.
 //!
-//! The router speaks the same newline-JSON protocol as a worker, so any
-//! existing client (plain, hardened, `ctl`) can point at it unchanged.
-//! Per request it computes the canonical-JSON cache key, walks the
-//! [`HashRing`]'s replica order, and forwards over a per-shard pool of
-//! [`HardenedClient`] connections — multiple checkouts per shard, so a
-//! pipelined batch fans out across shards *and* keeps each worker's own
-//! pool busy instead of serializing behind one connection.
+//! The router is one [`ClusterClient`] behind the worker's own listener
+//! shell. It speaks the worker's newline-JSON protocol, so any client
+//! (plain, hardened, `ctl`) can point at it unchanged, and every
+//! forwarded request takes the client's one failover path: ring order,
+//! detector demotion, then replica after replica, with a typed
+//! `Overloaded`/`DeadlineExceeded` shed kept as the answer of last
+//! resort. The client's per-shard connection pool keeps several
+//! forwards in flight to each shard. Forwarded responses keep the
+//! *worker's* generation and gain a `shard` stamp, so clients track
+//! restarts per worker rather than per connection.
 //!
-//! Failover matches [`ClusterClient`](crate::cluster::ClusterClient):
-//! a transport failure, exhausted retries, or an open breaker moves to
-//! the next replica, as does a typed `Overloaded`/`DeadlineExceeded`
-//! shed (kept as the answer of last resort so a saturated cluster still
-//! answers with its own typed shed, never an invented error). Forwarded
-//! responses keep the *worker's* generation and gain a `shard` stamp,
-//! so clients track restarts per worker rather than per connection.
+//! The router answers `Stats` (its own forwarding metrics, plus live
+//! suspicion counters), `Health` (its own non-durable report),
+//! `ClusterHealth` (the client's per-shard probes, annotated with φ),
+//! `Ping` and `Shutdown` itself. Shutdown drains the router, never the
+//! workers: they belong to their supervisor.
 //!
-//! What the router answers itself: `Stats` (its own forwarding
-//! metrics, plus live [`SuspicionStats`](crate::metrics::SuspicionStats)
-//! when the detector plane is on), `Health` (its own non-durable
-//! report), `ClusterHealth` (live per-shard probes + aggregate,
-//! annotated with per-shard φ and suspicion), `Ping` (inline liveness,
-//! never queued behind forwarding), and `Shutdown` (drains the router;
-//! workers are *not* shut down — they belong to their supervisor, and a
-//! router bounce must not take the fleet down).
-//!
-//! With a [`DetectorConfig`] (the default), the router also runs the
-//! live failure-detector plane ([`crate::detector`]): suspected shards
-//! are demoted to the back of the replica order at forward time, so a
-//! dead shard's keys stop paying its connection timeout as soon as φ
-//! crosses the threshold. The router deliberately does *not* hedge —
-//! hedging is the client-side latency policy
-//! ([`ClusterClient`](crate::cluster::ClusterClient)); a fan-in point
-//! duplicating every soft-suspect request would multiply fleet load
-//! exactly when the fleet is struggling.
+//! With a [`DetectorConfig`] (the default), suspected shards are
+//! demoted to the back of the replica order. The router deliberately
+//! does *not* hedge: a fan-in point duplicating every soft-suspect
+//! request would multiply fleet load exactly when the fleet is
+//! struggling.
 
-use crate::client::{ClientError, HardenedClient, RetryPolicy};
+use crate::client::RetryPolicy;
 use crate::cluster::{ClusterClient, Membership};
-use crate::detector::{DetectorConfig, DetectorPlane};
-use crate::metrics::{Metrics, PoolCounters};
-use crate::ring::HashRing;
-use crate::server::{BoundedLineReader, LineEvent};
-use crate::wire::{
-    ClusterHealthReport, ErrorCode, HealthReport, Request, RequestKind, RequestOptions, Response,
-    ResponseKind, ShardHealth, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
-};
+use crate::detector::DetectorConfig;
+use crate::listener::{accept_loop, elapsed_micros, pool_stats, Frontend};
+use crate::metrics::{Metrics, PoolCounters, StatsReport};
+use crate::wire::{ClusterHealthReport, ErrorCode, HealthReport, Request, Response};
 use ktudc_par::{Pool, SubmitError};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often the accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// Idle connections kept per shard. Checkouts beyond this are created
-/// fresh and dropped at checkin once the pool is full, so a burst can
-/// still fan out while steady state stays at a bounded socket count.
-const POOL_PER_SHARD: usize = 8;
-
-/// Sentinel for "no generation observed yet" in the per-shard table
-/// (real generations start at 0 for non-durable workers).
-const GEN_UNSEEN: u64 = u64::MAX;
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -106,213 +78,144 @@ impl Default for RouterConfig {
     }
 }
 
-/// One pooled forwarding connection; discarded when membership moves
-/// its shard to a different address.
-struct PooledConn {
-    addr: String,
-    client: HardenedClient,
-}
-
 struct RouterShared {
-    membership: Arc<Membership>,
-    ring: HashRing,
-    policy: RetryPolicy,
+    /// The failover engine every forward goes through.
+    cluster: ClusterClient,
     /// `None` once shutdown has taken the pool for draining.
     pool: Mutex<Option<Pool>>,
-    /// Idle forwarding connections, per shard.
-    conns: Vec<Mutex<Vec<PooledConn>>>,
-    /// Last generation observed per shard ([`GEN_UNSEEN`] until the
-    /// first forwarded response), for the health view and restart
-    /// accounting.
-    last_gen: Vec<AtomicU64>,
-    /// Worker restarts observed across all shards (generation changes).
-    restarts_observed: AtomicU64,
-    /// Requests answered by a replica other than their owner shard.
-    failovers: AtomicU64,
     metrics: Metrics,
     workers: usize,
     queue_capacity: usize,
     /// Per-connection idle read deadline; `None` disables reaping.
     idle_timeout: Option<Duration>,
-    /// Live suspicion plane; probes every shard in the background.
-    detector: Option<Arc<DetectorPlane>>,
     shutdown: AtomicBool,
 }
 
-impl RouterShared {
-    /// Takes a forwarding connection for `shard`, discarding pooled ones
-    /// that predate a membership change.
-    fn checkout(&self, shard: usize) -> PooledConn {
-        let current = self.membership.addr(shard);
-        let mut pool = self.conns[shard].lock().expect("conn pool lock poisoned");
-        while let Some(conn) = pool.pop() {
-            if conn.addr == current {
-                return conn;
-            }
-            // Stale address: the worker moved; drop the dead connection.
-        }
-        drop(pool);
-        PooledConn {
-            client: HardenedClient::new(current.clone(), self.policy),
-            addr: current,
-        }
+impl Frontend for RouterShared {
+    const NAME: &'static str = "router";
+
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
     }
 
-    /// Returns a healthy connection to the shard's pool (bounded; extras
-    /// from a burst are simply dropped).
-    fn checkin(&self, shard: usize, conn: PooledConn) {
-        let mut pool = self.conns[shard].lock().expect("conn pool lock poisoned");
-        if pool.len() < POOL_PER_SHARD && conn.addr == self.membership.addr(shard) {
-            pool.push(conn);
-        }
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
-    /// Folds a forwarded response's generation into the per-shard table;
-    /// counts a restart when it changed.
-    fn observe_generation(&self, shard: usize, generation: u64) {
-        let old = self.last_gen[shard].swap(generation, Ordering::SeqCst);
-        if old != GEN_UNSEEN && old != generation {
-            self.restarts_observed.fetch_add(1, Ordering::SeqCst);
-        }
+    fn idle_timeout(&self) -> Option<Duration> {
+        self.idle_timeout
     }
 
-    /// Forwards `kind` through the ring's replica order. Returns the
-    /// worker's response (shard-stamped) or the final error once every
-    /// replica failed. Mirrors `ClusterClient::try_order`: typed
-    /// `Overloaded`/`DeadlineExceeded` sheds advance to the next replica
-    /// but are kept as the answer of last resort.
-    fn forward(
-        &self,
-        kind: &RequestKind,
-        options: RequestOptions,
-    ) -> Result<Response, ClientError> {
-        let key = ClusterClient::shard_key(kind);
-        let mut order = self.ring.replicas(key);
-        if let Some(plane) = &self.detector {
-            if plane.prefer_unsuspected(&mut order) {
-                // The owner is suspected: this request is served by a
-                // replica, so it counts under the existing failover
-                // meaning — it just pays no timeout to learn it.
-                plane.note_proactive_failover();
-                self.failovers.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let mut last_err: Option<ClientError> = None;
-        let mut last_shed: Option<Response> = None;
-        for (attempt, shard) in order.into_iter().enumerate() {
-            if attempt > 0 {
-                self.failovers.fetch_add(1, Ordering::SeqCst);
-            }
-            let mut conn = self.checkout(shard);
-            match conn.client.request_with_options(kind.clone(), options) {
-                Ok(mut resp) => {
-                    self.observe_generation(shard, resp.generation);
-                    self.checkin(shard, conn);
-                    if resp.shard.is_none() {
-                        resp.shard = Some(shard);
-                    }
-                    let shed = matches!(
-                        &resp.result,
-                        ResponseKind::Error(e)
-                            if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
-                    );
-                    if shed {
-                        last_shed = Some(resp);
-                    } else {
-                        return Ok(resp);
-                    }
-                }
-                // The connection may be desynchronized; drop it rather
-                // than pool it.
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_shed {
-            Some(resp) => Ok(resp),
-            None => Err(last_err
-                .unwrap_or_else(|| ClientError::Protocol("cluster has no shards".to_string()))),
-        }
-    }
-
-    /// Live per-shard health probes, aggregated. Probes run on scoped
-    /// threads so one dead shard's timeout does not stack onto the rest.
-    fn cluster_health(&self) -> ClusterHealthReport {
-        let rows: Vec<ShardHealth> = std::thread::scope(|scope| {
-            let probes: Vec<_> = (0..self.ring.shards())
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let addr = self.membership.addr(shard);
-                        let mut conn = self.checkout(shard);
-                        match conn.client.health() {
-                            Ok(report) => {
-                                self.observe_generation(shard, report.generation);
-                                self.checkin(shard, conn);
-                                ShardHealth::new(shard, addr, true, report.generation, Some(report))
-                            }
-                            Err(_) => {
-                                let last = self.last_gen[shard].load(Ordering::SeqCst);
-                                ShardHealth::new(
-                                    shard,
-                                    addr,
-                                    false,
-                                    if last == GEN_UNSEEN { 0 } else { last },
-                                    None,
-                                )
-                            }
-                        }
-                    })
-                })
-                .collect();
-            probes
-                .into_iter()
-                .enumerate()
-                .map(|(shard, p)| {
-                    // A panicking probe must not take the whole report
-                    // down with it: report that shard as unreachable.
-                    p.join().unwrap_or_else(|_| {
-                        let last = self.last_gen[shard].load(Ordering::SeqCst);
-                        ShardHealth::new(
-                            shard,
-                            self.membership.addr(shard),
-                            false,
-                            if last == GEN_UNSEEN { 0 } else { last },
-                            None,
-                        )
-                    })
-                })
-                .collect()
-        });
-        let mut report = ClusterHealthReport::aggregate(rows);
-        if let Some(plane) = &self.detector {
-            plane.annotate(&mut report);
-        }
+    fn stats(&self) -> StatsReport {
+        let pool = pool_stats(&self.pool);
+        let counters = PoolCounters {
+            workers: self.workers,
+            queue_depth: pool.queued,
+            queue_capacity: self.queue_capacity,
+            steals: pool.steals,
+            deepest_queue: pool.deepest_queue,
+        };
+        let mut report = self.metrics.report(counters, 0, 0);
+        report.suspicion = self.cluster.detector().map(|plane| plane.stats());
         report
     }
 
     /// The router's own (non-durable) health report: its forwarding
-    /// queue, plus the restart count it has observed fleet-wide in the
-    /// `steals`-adjacent observability slots it doesn't use.
-    fn health_report(&self) -> HealthReport {
-        let (queue_depth, in_flight) = self
+    /// queue and uptime.
+    fn health(&self) -> HealthReport {
+        let pool = pool_stats(&self.pool);
+        HealthReport {
+            queue_depth: pool.queued,
+            in_flight: pool.in_flight,
+            uptime_micros: self.metrics.uptime_micros(),
+            ..HealthReport::default()
+        }
+    }
+
+    fn cluster_health(&self) -> ClusterHealthReport {
+        self.cluster.cluster_health()
+    }
+
+    /// Unlike the worker's writer this never overwrites `generation` — a
+    /// forwarded response carries the answering *worker's* generation,
+    /// which is the whole point of per-shard restart tracking.
+    fn write_response(&self, out: &Mutex<TcpStream>, version: u32, mut response: Response) {
+        response.schema_version = version;
+        let Ok(mut line) = serde_json::to_string(&response) else {
+            return;
+        };
+        line.push('\n');
+        let mut stream = out.lock().expect("stream lock poisoned");
+        let _ = stream.write_all(line.as_bytes());
+        let _ = stream.flush();
+    }
+
+    /// Queues one forwarding job on the router's bounded pool, shedding
+    /// typed `Overloaded` when it is full — the router's own
+    /// backpressure, in front of each worker's admission control.
+    fn dispatch(shared: &Arc<Self>, request: Request, start: Instant, out: &Arc<Mutex<TcpStream>>) {
+        let (id, version, options) = (request.id, request.schema_version, request.options);
+        let (endpoint, kind) = (request.kind.endpoint(), request.kind);
+        let job = {
+            let shared = Arc::clone(shared);
+            let out = Arc::clone(out);
+            move || {
+                let response = match shared.cluster.forward(&kind, options) {
+                    Ok(mut resp) => {
+                        resp.id = id;
+                        shared
+                            .metrics
+                            .record(endpoint, elapsed_micros(start), resp.cached);
+                        resp
+                    }
+                    Err(e) => {
+                        shared.metrics.record_error(endpoint);
+                        Response::error(
+                            id,
+                            ErrorCode::Internal,
+                            format!("every replica failed: {e}"),
+                        )
+                    }
+                };
+                shared.write_response(&out, version, response);
+            }
+        };
+        let submitted = shared
             .pool
             .lock()
             .expect("pool lock poisoned")
             .as_ref()
-            .map_or((0, 0), |p| (p.queue_depth(), p.in_flight()));
-        HealthReport {
-            generation: 0,
-            durable: false,
-            recovered_cache_entries: 0,
-            corrupt_snapshots_skipped: 0,
-            store_corrupt_candidates: 0,
-            snapshots_written: 0,
-            cache_entries: 0,
-            queue_depth,
-            in_flight,
-            stuck_workers: 0,
-            steals: 0,
-            deepest_queue: 0,
-            uptime_micros: self.metrics.uptime_micros(),
+            .map_or(Err(SubmitError::Closed), |pool| pool.try_execute(job));
+        let refusal = match submitted {
+            Ok(()) => return,
+            Err(SubmitError::Full) => {
+                shared.metrics.record_overload(endpoint);
+                Response::error_with_retry(
+                    id,
+                    ErrorCode::Overloaded,
+                    "router forwarding queue is full",
+                    1,
+                )
+            }
+            Err(SubmitError::Closed) => {
+                shared.metrics.record_error(endpoint);
+                Response::error(id, ErrorCode::ShuttingDown, "router is draining")
+            }
+        };
+        shared.write_response(out, version, refusal);
+    }
+
+    fn drain(&self) {
+        // Take the pool so late submitters see ShuttingDown, then let
+        // every accepted forward finish and answer before returning.
+        let pool = self.pool.lock().expect("pool lock poisoned").take();
+        if let Some(pool) = pool {
+            pool.shutdown();
+        }
+        // Connection threads hold the shared state (and so the client)
+        // past the handle, so its plane is stopped here, not on drop.
+        if let Some(plane) = self.cluster.detector() {
+            plane.stop();
         }
     }
 }
@@ -350,20 +253,20 @@ impl RouterHandle {
     /// Requests answered by a replica other than their owner shard.
     #[must_use]
     pub fn failovers(&self) -> u64 {
-        self.shared.failovers.load(Ordering::SeqCst)
+        self.shared.cluster.metrics().failovers
     }
 
     /// Worker restarts the router has observed via generation changes.
     #[must_use]
     pub fn restarts_observed(&self) -> u64 {
-        self.shared.restarts_observed.load(Ordering::SeqCst)
+        self.shared.cluster.metrics().worker_restarts
     }
 
     /// The router's live suspicion counters; `None` when the detector
     /// plane is disabled.
     #[must_use]
     pub fn suspicion_stats(&self) -> Option<crate::metrics::SuspicionStats> {
-        self.shared.detector.as_ref().map(|p| p.stats())
+        self.shared.cluster.detector().map(|p| p.stats())
     }
 
     /// Blocks until the router has stopped accepting and drained every
@@ -401,25 +304,19 @@ pub fn serve_router(
     } else {
         config.workers
     };
-    let shards = membership.len();
+    let cluster = ClusterClient::new(membership, config.policy);
     let shared = Arc::new(RouterShared {
-        ring: HashRing::new(shards),
-        policy: config.policy,
+        cluster: match config.detector {
+            Some(detector) => cluster.with_detector(detector),
+            None => cluster,
+        },
         pool: Mutex::new(Some(Pool::new(workers, config.queue_capacity))),
-        conns: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-        last_gen: (0..shards).map(|_| AtomicU64::new(GEN_UNSEEN)).collect(),
-        restarts_observed: AtomicU64::new(0),
-        failovers: AtomicU64::new(0),
         metrics: Metrics::new(),
         workers,
         queue_capacity: config.queue_capacity,
         idle_timeout: (config.idle_timeout_ms > 0)
             .then(|| Duration::from_millis(config.idle_timeout_ms)),
-        detector: config
-            .detector
-            .map(|cfg| DetectorPlane::start(Arc::clone(&membership), cfg)),
         shutdown: AtomicBool::new(false),
-        membership,
     });
     let accept = {
         let shared = Arc::clone(&shared);
@@ -432,296 +329,16 @@ pub fn serve_router(
     })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || connection_loop(&shared, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    // Drain: take the pool so late submitters see ShuttingDown, then let
-    // every accepted forward finish and answer before returning.
-    let pool = shared.pool.lock().expect("pool lock poisoned").take();
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
-    if let Some(plane) = &shared.detector {
-        plane.stop();
-    }
-}
-
-fn connection_loop(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let out = Arc::new(Mutex::new(stream));
-    let Ok(mut reader) =
-        BoundedLineReader::new(read_half, shared.idle_timeout, MAX_REQUEST_LINE_BYTES)
-    else {
-        return;
-    };
-    loop {
-        match reader.next_line() {
-            LineEvent::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                handle_line(shared, &line, &out);
-            }
-            LineEvent::Oversized => {
-                shared.metrics.record_oversized();
-                write_response(
-                    &out,
-                    SCHEMA_VERSION,
-                    Response::error(
-                        0,
-                        ErrorCode::BadRequest,
-                        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    ),
-                );
-                break;
-            }
-            LineEvent::IdleTimeout => {
-                if !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.metrics.record_idle_reap();
-                }
-                break;
-            }
-            LineEvent::Eof => break,
-        }
-    }
-}
-
-fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
-    let request: Request = match serde_json::from_str(line) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.metrics.record_malformed();
-            write_response(
-                out,
-                SCHEMA_VERSION,
-                Response::error(0, ErrorCode::BadRequest, e.to_string()),
-            );
-            return;
-        }
-    };
-    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&request.schema_version) {
-        write_response(
-            out,
-            SCHEMA_VERSION,
-            Response::error(
-                request.id,
-                ErrorCode::UnsupportedVersion,
-                format!(
-                    "request schema_version {} but this router speaks \
-                     {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}",
-                    request.schema_version
-                ),
-            ),
-        );
-        return;
-    }
-    let version = request.schema_version;
-    let endpoint = request.kind.endpoint();
-    let start = Instant::now();
-    match request.kind {
-        RequestKind::Stats => {
-            let (queue_depth, steals, deepest_queue) = shared
-                .pool
-                .lock()
-                .expect("pool lock poisoned")
-                .as_ref()
-                .map_or((0, 0, 0), |p| {
-                    let s = p.stats();
-                    (p.queue_depth(), s.steals, s.deepest_queue)
-                });
-            let mut report = shared.metrics.report(
-                PoolCounters {
-                    workers: shared.workers,
-                    queue_depth,
-                    queue_capacity: shared.queue_capacity,
-                    steals,
-                    deepest_queue,
-                },
-                0,
-                0,
-            );
-            if let Some(plane) = &shared.detector {
-                report.suspicion = Some(plane.stats());
-            }
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                out,
-                version,
-                Response::new(request.id, false, micros, ResponseKind::Stats(report)),
-            );
-        }
-        RequestKind::Health => {
-            let report = shared.health_report();
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                out,
-                version,
-                Response::new(request.id, false, micros, ResponseKind::Health(report)),
-            );
-        }
-        RequestKind::ClusterHealth => {
-            let report = shared.cluster_health();
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                out,
-                version,
-                Response::new(
-                    request.id,
-                    false,
-                    micros,
-                    ResponseKind::ClusterHealth(report),
-                ),
-            );
-        }
-        RequestKind::Ping => {
-            // The router proves its own liveness: answered inline, never
-            // queued behind forwarding (a saturated router still pongs).
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                out,
-                version,
-                Response::new(request.id, false, micros, ResponseKind::Pong),
-            );
-        }
-        RequestKind::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                out,
-                version,
-                Response::new(request.id, false, micros, ResponseKind::Shutdown),
-            );
-        }
-        kind @ (RequestKind::Cell(_)
-        | RequestKind::Check(_)
-        | RequestKind::Explore(_)
-        | RequestKind::Classify(_)) => {
-            dispatch_forward(
-                shared,
-                request.id,
-                version,
-                kind,
-                request.options,
-                start,
-                out,
-            );
-        }
-    }
-}
-
-/// Queues one forwarding job on the router's bounded pool, shedding
-/// typed `Overloaded` when it is full — the router's own backpressure,
-/// in front of each worker's admission control.
-fn dispatch_forward(
-    shared: &Arc<RouterShared>,
-    id: u64,
-    version: u32,
-    kind: RequestKind,
-    options: RequestOptions,
-    start: Instant,
-    out: &Arc<Mutex<TcpStream>>,
-) {
-    let endpoint = kind.endpoint();
-    let job = {
-        let shared = Arc::clone(shared);
-        let out = Arc::clone(out);
-        move || {
-            let response = match shared.forward(&kind, options) {
-                Ok(mut resp) => {
-                    resp.id = id;
-                    shared
-                        .metrics
-                        .record(endpoint, elapsed_micros(start), resp.cached);
-                    resp
-                }
-                Err(e) => {
-                    shared.metrics.record_error(endpoint);
-                    Response::error(
-                        id,
-                        ErrorCode::Internal,
-                        format!("every replica failed: {e}"),
-                    )
-                }
-            };
-            write_response(&out, version, response);
-        }
-    };
-    let submitted = {
-        let pool = shared.pool.lock().expect("pool lock poisoned");
-        match pool.as_ref() {
-            Some(pool) => pool.try_execute(job),
-            None => Err(SubmitError::Closed),
-        }
-    };
-    match submitted {
-        Ok(()) => {}
-        Err(SubmitError::Full) => {
-            shared.metrics.record_overload(endpoint);
-            write_response(
-                out,
-                version,
-                Response::error_with_retry(
-                    id,
-                    ErrorCode::Overloaded,
-                    "router forwarding queue is full",
-                    1,
-                ),
-            );
-        }
-        Err(SubmitError::Closed) => {
-            shared.metrics.record_error(endpoint);
-            write_response(
-                out,
-                version,
-                Response::error(id, ErrorCode::ShuttingDown, "router is draining"),
-            );
-        }
-    }
-}
-
-/// Writes one response line. Unlike the worker's writer this never
-/// overwrites `generation` — a forwarded response carries the answering
-/// *worker's* generation, which is the whole point of per-shard restart
-/// tracking. The version is rewritten to the one the requester spoke.
-fn write_response(out: &Mutex<TcpStream>, version: u32, mut response: Response) {
-    response.schema_version = version;
-    let Ok(mut line) = serde_json::to_string(&response) else {
-        return;
-    };
-    line.push('\n');
-    let mut stream = out.lock().expect("stream lock poisoned");
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.flush();
-}
-
-fn elapsed_micros(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::{Client, Endpoints};
+    use crate::ring::HashRing;
     use crate::server::{serve, ServeConfig};
+    use crate::wire::{RequestKind, ResponseKind, SCHEMA_VERSION};
     use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
+    use std::io::{BufRead, BufReader};
+    use std::sync::atomic::AtomicU64;
 
     fn quick_policy() -> RetryPolicy {
         RetryPolicy {
@@ -873,6 +490,105 @@ mod tests {
         router.join();
         let mut direct = Client::connect(workers[0].addr()).expect("worker still up");
         assert!(direct.health().is_ok());
+        for w in workers {
+            w.shutdown();
+        }
+    }
+
+    /// A stand-in shard that answers every request line with a typed
+    /// `Overloaded` shed and counts the lines it was sent.
+    fn shedding_shard() -> (String, Arc<AtomicU64>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind shedder");
+        let addr = listener.local_addr().expect("shedder addr").to_string();
+        let seen = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&seen);
+        std::thread::spawn(move || {
+            for stream in listener.incoming().map_while(Result::ok) {
+                let counter = Arc::clone(&counter);
+                std::thread::spawn(move || {
+                    let mut out = stream.try_clone().expect("clone shedder stream");
+                    for line in BufReader::new(stream).lines().map_while(Result::ok) {
+                        let Ok(request) = serde_json::from_str::<Request>(&line) else {
+                            break;
+                        };
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        let mut shed = Response::error_with_retry(
+                            request.id,
+                            ErrorCode::Overloaded,
+                            "this shard always sheds",
+                            1,
+                        );
+                        shed.schema_version = SCHEMA_VERSION;
+                        let line = serde_json::to_string(&shed).expect("encode shed");
+                        if writeln!(out, "{line}").is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        (addr, seen)
+    }
+
+    #[test]
+    fn router_breaker_opens_on_a_shedding_shard_and_stops_sending_to_it() {
+        let (shedder, sent_to_shedder) = shedding_shard();
+        let (workers, live) = start_workers(1);
+        let membership = Arc::new(Membership::new(vec![shedder, live.addr(0)]));
+        let policy = RetryPolicy {
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            circuit_cooldown: Duration::from_secs(60),
+            ..RetryPolicy::default()
+        };
+        let router = serve_router(
+            &RouterConfig {
+                policy,
+                workers: 1,
+                detector: None,
+                ..RouterConfig::default()
+            },
+            membership,
+        )
+        .expect("router");
+
+        // Cells owned by the shedding shard 0.
+        let ring = HashRing::new(2);
+        let owned: Vec<CellSpec> = (0..64u64)
+            .map(|i| {
+                CellSpec::new(3, 1, None, FdChoice::None, ProtocolChoice::Reliable)
+                    .trials(1)
+                    .horizon(40 + i)
+            })
+            .filter(|spec| {
+                ring.shard_for(ClusterClient::shard_key(&RequestKind::Cell(spec.clone()))) == 0
+            })
+            .take(5)
+            .collect();
+        assert_eq!(owned.len(), 5, "test needs cells owned by shard 0");
+
+        let mut client = Client::connect(router.addr()).expect("connect");
+        for spec in &owned {
+            let resp = client
+                .request(RequestKind::Cell(spec.clone()))
+                .expect("routed cell");
+            let ResponseKind::Cell(outcome) = resp.result else {
+                panic!("expected a cell payload, got {:?}", resp.result);
+            };
+            assert_eq!(outcome, run_cell(spec), "failover must not change answers");
+            assert_eq!(resp.shard, Some(1));
+        }
+        // One call spends `max_retries + 1` sheds, the next reaches the
+        // threshold and opens the breaker; every later call fails over
+        // without sending to the shedding shard at all.
+        assert_eq!(
+            sent_to_shedder.load(Ordering::SeqCst),
+            u64::from(policy.circuit_threshold),
+            "the pooled breaker must open and then keep the router off the shard"
+        );
+        assert!(router.failovers() >= 5);
+        drop(client);
+        router.shutdown();
         for w in workers {
             w.shutdown();
         }

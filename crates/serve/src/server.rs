@@ -4,12 +4,13 @@
 //!
 //! One nonblocking accept thread polls the listener and a shutdown flag.
 //! Each connection gets a reader thread that parses request lines and
-//! dispatches them; the actual computations run on a shared bounded
-//! [`Pool`], so a connection burst cannot spawn unbounded compute. Each
-//! connection's write half sits behind a mutex shared by the reader (for
-//! inline answers: cache hits, stats, errors) and the workers (for
-//! computed answers), which is what lets responses stream back in
-//! completion order.
+//! dispatches them (the accept loop, readers and request preamble are
+//! the listener shell the router shares); the actual computations run
+//! on a shared bounded [`Pool`], so a connection burst cannot spawn
+//! unbounded compute. Each connection's write half sits behind a mutex
+//! shared by the reader (for inline answers: cache hits, stats, errors)
+//! and the workers (for computed answers), which is what lets responses
+//! stream back in completion order.
 //!
 //! # Backpressure
 //!
@@ -30,11 +31,12 @@
 
 use crate::admission::{estimated_wait_micros, AimdConfig, AimdController, JobRegistry};
 use crate::cache::LruCache;
-use crate::metrics::{Metrics, PoolCounters};
+use crate::listener::{accept_loop, elapsed_micros, pool_stats, Frontend};
+use crate::metrics::{Endpoint, Metrics, PoolCounters, StatsReport};
 use crate::wire::{
     AbortedOutcome, CheckOutcome, ClusterHealthReport, ErrorCode, HealthReport, PartialCell,
     PartialOutcome, Request, RequestKind, RequestOptions, Response, ResponseKind, ShardHealth,
-    WireError, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    WireError,
 };
 use ktudc_core::harness::{run_cell_budgeted, CellStatus};
 use ktudc_epistemic::ModelChecker;
@@ -55,9 +57,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often the accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// Test-only server fault injection, applied at the response-writing
 /// boundary. Every field counts *responses* (a shared monotone sequence
@@ -218,51 +217,15 @@ struct Shared {
 }
 
 impl Shared {
-    fn queue_depth(&self) -> usize {
-        self.pool
-            .lock()
-            .expect("pool lock poisoned")
-            .as_ref()
-            .map_or(0, Pool::queue_depth)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.pool
-            .lock()
-            .expect("pool lock poisoned")
-            .as_ref()
-            .map_or(0, Pool::in_flight)
-    }
-
     /// Jobs ahead of a new arrival: queued plus in flight. This is the
     /// quantity the admission limit bounds and the wait estimate scales
     /// with. Read from one coherent [`Pool::stats`] snapshot — summing
-    /// the two separate accessors lets a worker pick a job up between
-    /// the reads and count it twice, transiently overstating occupancy
-    /// and shedding a request the limit would have admitted.
+    /// two separate reads lets a worker pick a job up between them and
+    /// count it twice, transiently overstating occupancy and shedding a
+    /// request the limit would have admitted.
     fn occupancy(&self) -> usize {
-        self.pool
-            .lock()
-            .expect("pool lock poisoned")
-            .as_ref()
-            .map_or(0, |p| {
-                let s = p.stats();
-                s.queued + s.in_flight
-            })
-    }
-
-    /// Work-stealing counters for observability: (steals so far, deepest
-    /// per-worker deque right now). Zeros once shutdown has taken the
-    /// pool.
-    fn steal_stats(&self) -> (u64, usize) {
-        self.pool
-            .lock()
-            .expect("pool lock poisoned")
-            .as_ref()
-            .map_or((0, 0), |p| {
-                let s = p.stats();
-                (s.steals, s.deepest_queue)
-            })
+        let pool = pool_stats(&self.pool);
+        pool.queued + pool.in_flight
     }
 
     /// Counts one computed outcome and snapshots the cache when the
@@ -300,33 +263,6 @@ impl Shared {
                 d.snapshots_written.fetch_add(1, Ordering::SeqCst);
             }
             Err(e) => eprintln!("ktudc-serve: cache snapshot failed to write: {e}"),
-        }
-    }
-
-    fn health_report(&self) -> HealthReport {
-        let (steals, deepest_queue) = self.steal_stats();
-        HealthReport {
-            generation: self.generation,
-            durable: self.durability.is_some(),
-            recovered_cache_entries: self.recovery.recovered_cache_entries,
-            corrupt_snapshots_skipped: self.recovery.corrupt_snapshots_skipped,
-            store_corrupt_candidates: self.durability.as_ref().map_or(0, |d| {
-                d.store
-                    .lock()
-                    .expect("snapshot store lock poisoned")
-                    .corrupt_seen()
-            }),
-            snapshots_written: self
-                .durability
-                .as_ref()
-                .map_or(0, |d| d.snapshots_written.load(Ordering::SeqCst)),
-            cache_entries: self.cache.lock().expect("cache lock poisoned").len(),
-            queue_depth: self.queue_depth(),
-            in_flight: self.in_flight(),
-            stuck_workers: self.registry.stuck_workers(),
-            steals,
-            deepest_queue,
-            uptime_micros: self.metrics.uptime_micros(),
         }
     }
 }
@@ -497,290 +433,98 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Responses are small sequential lines; leaving Nagle on
-                // makes each one wait out the peer's delayed ACK.
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || connection_loop(&shared, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    // Drain: take the pool so late submitters see ShuttingDown, then let
-    // every accepted job finish and answer before we return.
-    let pool = shared.pool.lock().expect("pool lock poisoned").take();
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
-    // Final snapshot: everything the drain just computed becomes warm
-    // cache for the next boot.
-    shared.snapshot_now();
-}
+impl Frontend for Shared {
+    const NAME: &'static str = "server";
 
-/// What [`BoundedLineReader::next_line`] observed on the socket.
-pub(crate) enum LineEvent {
-    /// A complete newline-terminated line (lossy UTF-8; the delimiter
-    /// stripped). Invalid bytes surface as replacement characters and
-    /// fail JSON parsing downstream — a typed `BadRequest`, never a
-    /// stall.
-    Line(String),
-    /// The peer accumulated more than the frame cap without a newline.
-    Oversized,
-    /// No bytes arrived within the idle deadline (a half-open or merely
-    /// silent peer — this includes a partial frame followed by
-    /// silence).
-    IdleTimeout,
-    /// Clean close, or an unrecoverable read error.
-    Eof,
-}
-
-/// A line reader with the two bounds a hostile or broken peer forces on
-/// a production accept loop: a per-read idle deadline (so a half-open
-/// connection is reaped instead of pinning its thread forever) and a
-/// frame-size cap (so a newline-less firehose cannot grow server memory
-/// without limit). Shared by the server and router connection loops.
-pub(crate) struct BoundedLineReader {
-    stream: TcpStream,
-    pending: Vec<u8>,
-    max_line: usize,
-}
-
-impl BoundedLineReader {
-    /// Arms `stream` with the idle deadline (`None` = block forever)
-    /// and wraps it. Fails only if the socket rejects the timeout.
-    pub(crate) fn new(
-        stream: TcpStream,
-        idle_timeout: Option<Duration>,
-        max_line: usize,
-    ) -> std::io::Result<Self> {
-        stream.set_read_timeout(idle_timeout)?;
-        Ok(BoundedLineReader {
-            stream,
-            pending: Vec::new(),
-            max_line,
-        })
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
     }
 
-    /// Blocks (up to the idle deadline) for the next complete line.
-    pub(crate) fn next_line(&mut self) -> LineEvent {
-        use std::io::Read;
-        loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return LineEvent::Line(String::from_utf8_lossy(&line).into_owned());
-            }
-            if self.pending.len() > self.max_line {
-                return LineEvent::Oversized;
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return LineEvent::Eof,
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return LineEvent::IdleTimeout;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return LineEvent::Eof,
-            }
-        }
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
-}
 
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let out = Arc::new(Mutex::new(stream));
-    let Ok(mut reader) =
-        BoundedLineReader::new(read_half, shared.idle_timeout, MAX_REQUEST_LINE_BYTES)
-    else {
-        return;
-    };
-    loop {
-        match reader.next_line() {
-            LineEvent::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                handle_line(shared, &line, &out);
-            }
-            LineEvent::Oversized => {
-                shared.metrics.record_oversized();
-                write_response(
-                    shared,
-                    &out,
-                    SCHEMA_VERSION,
-                    Response::error(
-                        0,
-                        ErrorCode::BadRequest,
-                        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    ),
-                );
-                break;
-            }
-            LineEvent::IdleTimeout => {
-                if !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.metrics.record_idle_reap();
-                }
-                break;
-            }
-            LineEvent::Eof => break,
-        }
+    fn idle_timeout(&self) -> Option<Duration> {
+        self.idle_timeout
     }
-}
 
-fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
-    let request: Request = match serde_json::from_str(line) {
-        Ok(r) => r,
-        Err(e) => {
-            // No recoverable id: 0 marks an unattributable failure.
-            shared.metrics.record_malformed();
-            write_response(
-                shared,
-                out,
-                SCHEMA_VERSION,
-                Response::error(0, ErrorCode::BadRequest, e.to_string()),
-            );
-            return;
-        }
-    };
-    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&request.schema_version) {
-        write_response(
-            shared,
-            out,
-            SCHEMA_VERSION,
-            Response::error(
-                request.id,
-                ErrorCode::UnsupportedVersion,
-                format!(
-                    "request schema_version {} but this server speaks \
-                     {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}",
-                    request.schema_version
-                ),
-            ),
-        );
-        return;
+    fn stats(&self) -> StatsReport {
+        let (cache_entries, cache_capacity) = {
+            let cache = self.cache.lock().expect("cache lock poisoned");
+            (cache.len(), cache.capacity())
+        };
+        let pool = pool_stats(&self.pool);
+        self.metrics.report(
+            PoolCounters {
+                workers: self.workers,
+                queue_depth: pool.queued,
+                queue_capacity: pool.capacity,
+                steals: pool.steals,
+                deepest_queue: pool.deepest_queue,
+            },
+            cache_entries,
+            cache_capacity,
+        )
     }
-    let version = request.schema_version;
-    let endpoint = request.kind.endpoint();
-    let start = Instant::now();
-    match request.kind {
-        RequestKind::Stats => {
-            let (cache_entries, cache_capacity) = {
-                let cache = shared.cache.lock().expect("cache lock poisoned");
-                (cache.len(), cache.capacity())
-            };
-            let (steals, deepest_queue) = shared.steal_stats();
-            let report = shared.metrics.report(
-                PoolCounters {
-                    workers: shared.workers,
-                    queue_depth: shared.queue_depth(),
-                    queue_capacity: queue_capacity(shared),
-                    steals,
-                    deepest_queue,
-                },
-                cache_entries,
-                cache_capacity,
-            );
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                shared,
-                out,
-                version,
-                Response::new(request.id, false, micros, ResponseKind::Stats(report)),
-            );
+
+    fn health(&self) -> HealthReport {
+        let pool = pool_stats(&self.pool);
+        HealthReport {
+            generation: self.generation,
+            durable: self.durability.is_some(),
+            recovered_cache_entries: self.recovery.recovered_cache_entries,
+            corrupt_snapshots_skipped: self.recovery.corrupt_snapshots_skipped,
+            store_corrupt_candidates: self.durability.as_ref().map_or(0, |d| {
+                d.store
+                    .lock()
+                    .expect("snapshot store lock poisoned")
+                    .corrupt_seen()
+            }),
+            snapshots_written: self
+                .durability
+                .as_ref()
+                .map_or(0, |d| d.snapshots_written.load(Ordering::SeqCst)),
+            cache_entries: self.cache.lock().expect("cache lock poisoned").len(),
+            queue_depth: pool.queued,
+            in_flight: pool.in_flight,
+            stuck_workers: self.registry.stuck_workers(),
+            steals: pool.steals,
+            deepest_queue: pool.deepest_queue,
+            uptime_micros: self.metrics.uptime_micros(),
         }
-        RequestKind::Health => {
-            let report = shared.health_report();
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                shared,
-                out,
-                version,
-                Response::new(request.id, false, micros, ResponseKind::Health(report)),
-            );
+    }
+
+    /// A single-process server is a one-shard cluster of itself; a
+    /// router answers with the real fleet view.
+    fn cluster_health(&self) -> ClusterHealthReport {
+        let health = self.health();
+        ClusterHealthReport::aggregate(vec![ShardHealth::new(
+            0,
+            self.addr.clone(),
+            true,
+            health.generation,
+            Some(health),
+        )])
+    }
+
+    fn write_response(&self, out: &Mutex<TcpStream>, version: u32, response: Response) {
+        write_response(self, out, version, response);
+    }
+
+    fn dispatch(shared: &Arc<Self>, request: Request, start: Instant, out: &Arc<Mutex<TcpStream>>) {
+        dispatch_compute(shared, request, start, out);
+    }
+
+    fn drain(&self) {
+        // Take the pool so late submitters see ShuttingDown, then let
+        // every accepted job finish and answer before we return.
+        let pool = self.pool.lock().expect("pool lock poisoned").take();
+        if let Some(pool) = pool {
+            pool.shutdown();
         }
-        RequestKind::Ping => {
-            // Heartbeat probe: answered inline on the connection thread,
-            // never queued behind compute — a busy worker must still
-            // prove liveness, otherwise queue pressure would read as
-            // death to the detector plane. The envelope carries the
-            // generation; the body is deliberately empty.
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                shared,
-                out,
-                version,
-                Response::new(request.id, false, micros, ResponseKind::Pong),
-            );
-        }
-        RequestKind::ClusterHealth => {
-            // A single-process server is a one-shard cluster of itself; a
-            // router overrides this with the real fleet view.
-            let health = shared.health_report();
-            let report = ClusterHealthReport::aggregate(vec![ShardHealth::new(
-                0,
-                shared.addr.clone(),
-                true,
-                health.generation,
-                Some(health),
-            )]);
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                shared,
-                out,
-                version,
-                Response::new(
-                    request.id,
-                    false,
-                    micros,
-                    ResponseKind::ClusterHealth(report),
-                ),
-            );
-        }
-        RequestKind::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, false);
-            write_response(
-                shared,
-                out,
-                version,
-                Response::new(request.id, false, micros, ResponseKind::Shutdown),
-            );
-        }
-        kind @ (RequestKind::Cell(_)
-        | RequestKind::Check(_)
-        | RequestKind::Explore(_)
-        | RequestKind::Classify(_)) => {
-            dispatch_compute(
-                shared,
-                request.id,
-                version,
-                kind,
-                request.options,
-                start,
-                out,
-            );
-        }
+        // Final snapshot: everything the drain just computed becomes warm
+        // cache for the next boot.
+        self.snapshot_now();
     }
 }
 
@@ -794,13 +538,16 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
 /// once and every requester gets the same payload.
 fn dispatch_compute(
     shared: &Arc<Shared>,
-    id: u64,
-    version: u32,
-    kind: RequestKind,
-    options: RequestOptions,
+    request: Request,
     start: Instant,
     out: &Arc<Mutex<TcpStream>>,
 ) {
+    let Request {
+        schema_version: version,
+        id,
+        kind,
+        options,
+    } = request;
     let endpoint = kind.endpoint();
     let Ok(canon) = serde_json::to_string(&kind) else {
         write_response(
@@ -1004,40 +751,39 @@ fn dispatch_compute(
             .expect("pending lock poisoned")
             .remove(&canon)
             .unwrap_or_default();
-        let (code, message) = match reason {
-            SubmitError::Full => (
-                ErrorCode::Overloaded,
-                format!(
-                    "request queue is at capacity ({}); retry later",
-                    queue_capacity(shared)
-                ),
+        let requesters = std::iter::once((id, version, &**out))
+            .chain(waiters.iter().map(|w| (w.id, w.version, &*w.out)));
+        refuse(shared, reason, endpoint, requesters);
+    }
+}
+
+/// Answers every requester of a job the pool would not take: typed
+/// `Overloaded` with a retry hint when the queue is full,
+/// `ShuttingDown` while draining.
+fn refuse<'a>(
+    shared: &Shared,
+    reason: SubmitError,
+    endpoint: Endpoint,
+    requesters: impl IntoIterator<Item = (u64, u32, &'a Mutex<TcpStream>)>,
+) {
+    let (code, message, retry_after_ms) = match reason {
+        SubmitError::Full => (
+            ErrorCode::Overloaded,
+            format!(
+                "request queue is at capacity ({}); retry later",
+                pool_stats(&shared.pool).capacity
             ),
-            SubmitError::Closed => (ErrorCode::ShuttingDown, "server is draining".to_string()),
-        };
-        let record = |endpoint| match reason {
+            retry_hint_ms(shared),
+        ),
+        SubmitError::Closed => (ErrorCode::ShuttingDown, "server is draining".to_string(), 0),
+    };
+    for (id, version, out) in requesters {
+        match reason {
             SubmitError::Full => shared.metrics.record_overload(endpoint),
             SubmitError::Closed => shared.metrics.record_error(endpoint),
-        };
-        let retry_after_ms = match reason {
-            SubmitError::Full => retry_hint_ms(shared),
-            SubmitError::Closed => 0,
-        };
-        record(endpoint);
-        write_response(
-            shared,
-            out,
-            version,
-            Response::error_with_retry(id, code, message.clone(), retry_after_ms),
-        );
-        for w in waiters {
-            record(endpoint);
-            write_response(
-                shared,
-                &w.out,
-                w.version,
-                Response::error_with_retry(w.id, code, message.clone(), retry_after_ms),
-            );
         }
+        let response = Response::error_with_retry(id, code, message.clone(), retry_after_ms);
+        write_response(shared, out, version, response);
     }
 }
 
@@ -1130,30 +876,7 @@ fn dispatch_deadline(
         .map_or(Err(SubmitError::Closed), |pool| pool.try_execute(job));
     if let Err(reason) = submitted {
         // No pending entry to retract: deadline requests never register.
-        let (code, message) = match reason {
-            SubmitError::Full => (
-                ErrorCode::Overloaded,
-                format!(
-                    "request queue is at capacity ({}); retry later",
-                    queue_capacity(shared)
-                ),
-            ),
-            SubmitError::Closed => (ErrorCode::ShuttingDown, "server is draining".to_string()),
-        };
-        let retry_after_ms = match reason {
-            SubmitError::Full => retry_hint_ms(shared),
-            SubmitError::Closed => 0,
-        };
-        match reason {
-            SubmitError::Full => shared.metrics.record_overload(endpoint),
-            SubmitError::Closed => shared.metrics.record_error(endpoint),
-        }
-        write_response(
-            shared,
-            out,
-            version,
-            Response::error_with_retry(id, code, message, retry_after_ms),
-        );
+        refuse(shared, reason, endpoint, [(id, version, &**out)]);
     }
 }
 
@@ -1288,19 +1011,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-fn queue_capacity(shared: &Shared) -> usize {
-    shared
-        .pool
-        .lock()
-        .expect("pool lock poisoned")
-        .as_ref()
-        .map_or(0, Pool::capacity)
-}
-
-fn elapsed_micros(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
 fn duration_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
@@ -1346,6 +1056,7 @@ fn write_response(shared: &Shared, out: &Mutex<TcpStream>, version: u32, mut res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Endpoints;
     use crate::wire::CheckSpec;
     use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
     use ktudc_epistemic::Formula;

@@ -458,7 +458,7 @@ pub struct PartialCell {
 /// The `Health` response body: the server's restart generation plus what
 /// its boot-time recovery found on disk. A non-durable server (no data
 /// directory) reports generation 0 and zeroed recovery counters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct HealthReport {
     /// The server's generation (strictly increasing across restarts of a
     /// durable server; 0 when running without a data directory).

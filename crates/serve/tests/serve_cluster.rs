@@ -13,8 +13,8 @@
 
 use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 use ktudc_serve::{
-    launch_fleet, serve, serve_router, supervise, Client, ClientError, ClusterClient, ErrorCode,
-    Membership, RequestKind, ResponseKind, RetryPolicy, RouterConfig, ServeConfig,
+    launch_fleet, serve, serve_router, supervise, Client, ClientError, ClusterClient, Endpoints,
+    ErrorCode, Membership, RequestKind, ResponseKind, RetryPolicy, RouterConfig, ServeConfig,
     SupervisorPolicy,
 };
 use std::path::PathBuf;

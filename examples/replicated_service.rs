@@ -18,7 +18,7 @@
 //! ```
 
 use ktudc::core::harness::{CellSpec, FdChoice, ProtocolChoice};
-use ktudc_serve::{serve, Client, RequestKind, ResponseKind, ServeConfig};
+use ktudc_serve::{serve, Client, Endpoints, RequestKind, ResponseKind, ServeConfig};
 
 fn main() {
     let n = 5; // five replicas

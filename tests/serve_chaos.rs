@@ -12,7 +12,7 @@ use ktudc::epistemic::Formula;
 use ktudc::model::ProcessId;
 use ktudc::sim::{run_explore_spec, ExploreSpec};
 use ktudc_serve::{
-    serve, CheckSpec, ClientError, HardenedClient, RequestKind, Response, ResponseKind,
+    serve, CheckSpec, ClientError, Endpoints, HardenedClient, RequestKind, Response, ResponseKind,
     RetryPolicy, ServeConfig, ServerFaults,
 };
 use std::collections::HashSet;

@@ -28,9 +28,9 @@
 use ktudc::core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 use ktudc::sim::{run_explore_spec, ExploreSpec, WireProtocol};
 use ktudc_serve::{
-    chaos_proxy, serve, AuditReport, Auditor, ChaosStatsSnapshot, Client, ClientError, ErrorCode,
-    HardenedClient, Request, RequestKind, Response, ResponseKind, RetryPolicy, ServeConfig,
-    ServerHandle, Toxic, ToxicPlan, MAX_REQUEST_LINE_BYTES,
+    chaos_proxy, serve, AuditReport, Auditor, ChaosStatsSnapshot, Client, ClientError, Endpoints,
+    ErrorCode, HardenedClient, Request, RequestKind, Response, ResponseKind, RetryPolicy,
+    ServeConfig, ServerHandle, Toxic, ToxicPlan, MAX_REQUEST_LINE_BYTES,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

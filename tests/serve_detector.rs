@@ -25,9 +25,9 @@
 
 use ktudc::core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 use ktudc_serve::{
-    chaos_proxy, serve, Auditor, Client, ClusterClient, DetectorConfig, HashRing, Membership,
-    RequestKind, ResponseKind, RetryPolicy, RouterConfig, ServeConfig, ServerHandle, Toxic,
-    ToxicPlan,
+    chaos_proxy, serve, Auditor, Client, ClusterClient, DetectorConfig, Endpoints, HashRing,
+    Membership, RequestKind, ResponseKind, RetryPolicy, RouterConfig, ServeConfig, ServerHandle,
+    Toxic, ToxicPlan,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;

@@ -9,7 +9,8 @@ use ktudc::epistemic::{Formula, ModelChecker};
 use ktudc::model::ProcessId;
 use ktudc::sim::{explore_spec, run_explore_spec, ExploreSpec, WireProtocol};
 use ktudc_serve::{
-    serve, CheckSpec, Client, ErrorCode, RequestKind, Response, ResponseKind, ServeConfig,
+    serve, CheckSpec, Client, Endpoints, ErrorCode, RequestKind, Response, ResponseKind,
+    ServeConfig,
 };
 use std::net::SocketAddr;
 use std::time::Duration;

@@ -22,7 +22,8 @@ use ktudc::core::harness::{CellSpec, FdChoice, ProtocolChoice};
 use ktudc::model::AbortReason;
 use ktudc::sim::{run_explore_spec, ExploreSpec, WireProtocol};
 use ktudc_serve::{
-    serve, Client, ErrorCode, RequestKind, RequestOptions, Response, ResponseKind, ServeConfig,
+    serve, Client, Endpoints, ErrorCode, RequestKind, RequestOptions, Response, ResponseKind,
+    ServeConfig,
 };
 use std::net::SocketAddr;
 use std::sync::OnceLock;
