@@ -116,7 +116,7 @@ pub struct ClusterMetrics {
 /// Idle connections kept per shard. Checkouts beyond this are created
 /// fresh and dropped at checkin once the pool is full, so a burst can
 /// still fan out while steady state stays at a bounded socket count.
-const POOL_PER_SHARD: usize = 8;
+pub(crate) const POOL_PER_SHARD: usize = 8;
 
 /// Sentinel for "no generation observed yet" in the per-shard table
 /// (real generations start at 0 for non-durable workers).
@@ -605,37 +605,47 @@ impl ClusterClient {
     /// request as a one-shard cluster, so nothing is lost either way.
     #[must_use]
     pub fn cluster_health(&self) -> ClusterHealthReport {
-        let fleet_view = if self.ring.shards() == 1 {
-            self.with_shard(0, Endpoints::cluster_health).ok()
-        } else {
-            None
-        };
-        let mut report = fleet_view.unwrap_or_else(|| {
-            let rows = std::thread::scope(|scope| {
-                let probes: Vec<_> = (0..self.ring.shards())
-                    .map(|shard| scope.spawn(move || self.with_shard(shard, Endpoints::health)))
-                    .collect();
-                probes
-                    .into_iter()
-                    .enumerate()
-                    .map(|(shard, probe)| {
-                        let addr = self.membership.addr(shard);
-                        match probe.join() {
-                            Ok(Ok(report)) => {
-                                ShardHealth::new(shard, addr, true, report.generation, Some(report))
-                            }
-                            // A failed or even panicking probe must not
-                            // take the whole report down with it: report
-                            // that shard as unreachable.
-                            Ok(Err(_)) | Err(_) => {
-                                ShardHealth::new(shard, addr, false, self.last_gen(shard), None)
-                            }
+        if self.ring.shards() == 1 {
+            if let Ok(report) = self.with_shard(0, Endpoints::cluster_health) {
+                return self.annotated(report);
+            }
+        }
+        self.shard_health()
+    }
+
+    /// [`ClusterClient::cluster_health`] without the one-member
+    /// shortcut: one `Health` probe per shard, each row carrying the
+    /// membership address. The router answers `ClusterHealth` with
+    /// this, because its members are workers, never routers.
+    pub(crate) fn shard_health(&self) -> ClusterHealthReport {
+        let rows = std::thread::scope(|scope| {
+            let probes: Vec<_> = (0..self.ring.shards())
+                .map(|shard| scope.spawn(move || self.with_shard(shard, Endpoints::health)))
+                .collect();
+            probes
+                .into_iter()
+                .enumerate()
+                .map(|(shard, probe)| {
+                    let addr = self.membership.addr(shard);
+                    match probe.join() {
+                        Ok(Ok(report)) => {
+                            ShardHealth::new(shard, addr, true, report.generation, Some(report))
                         }
-                    })
-                    .collect()
-            });
-            ClusterHealthReport::aggregate(rows)
+                        // A failed or even panicking probe must not take
+                        // the whole report down with it: report that
+                        // shard as unreachable.
+                        Ok(Err(_)) | Err(_) => {
+                            ShardHealth::new(shard, addr, false, self.last_gen(shard), None)
+                        }
+                    }
+                })
+                .collect()
         });
+        self.annotated(ClusterHealthReport::aggregate(rows))
+    }
+
+    /// `report` with the detector plane's φ and suspicion per shard.
+    fn annotated(&self, mut report: ClusterHealthReport) -> ClusterHealthReport {
         if let Some(plane) = &self.detector {
             plane.annotate(&mut report);
         }
@@ -1007,7 +1017,8 @@ mod tests {
     #[test]
     fn concurrent_callers_on_one_shard_are_not_serialized() {
         // Every second response is held for 2 s: the warm-up call takes
-        // response 1, the slow caller response 2, the fast caller 3.
+        // response 1, and whichever of the two concurrent calls is
+        // answered first takes the held response 2.
         let server = serve(&ServeConfig {
             workers: 2,
             faults: ServerFaults {
@@ -1020,23 +1031,32 @@ mod tests {
         let membership = Arc::new(Membership::new(vec![server.addr().to_string()]));
         let cluster = ClusterClient::new(membership, quick_policy());
         cluster.request(cheap_cell(0)).expect("warm-up");
-        let slow_done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        let returned = AtomicU64::new(0);
+        // Responses the server had begun when the first call returned.
+        let begun_at_first_return = AtomicU64::new(0);
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                cluster.request(cheap_cell(1)).expect("slow call");
-                slow_done.store(true, Ordering::SeqCst);
-            });
-            // Let the slow call claim the held response before the fast
-            // one is sent.
-            std::thread::sleep(Duration::from_millis(300));
-            let fast = cluster.request(cheap_cell(2)).expect("fast call");
-            assert!(matches!(fast.result, ResponseKind::Cell(_)));
-            assert!(
-                !slow_done.load(Ordering::SeqCst),
-                "the second caller waited for the first: per-shard calls are serialized"
-            );
+            for i in 1..=2 {
+                let (cluster, server, start) = (&cluster, &server, &start);
+                let (returned, begun) = (&returned, &begun_at_first_return);
+                scope.spawn(move || {
+                    start.wait();
+                    let resp = cluster.request(cheap_cell(i)).expect("concurrent call");
+                    assert!(matches!(resp.result, ResponseKind::Cell(_)));
+                    if returned.fetch_add(1, Ordering::SeqCst) == 0 {
+                        begun.store(server.responses_begun(), Ordering::SeqCst);
+                    }
+                });
+            }
         });
-        assert!(slow_done.load(Ordering::SeqCst));
+        // Had the calls been serialized, the first to return would have
+        // drawn the held response 2 before the other was even sent.
+        assert_eq!(
+            begun_at_first_return.load(Ordering::SeqCst),
+            3,
+            "the first call returned before the other reached the server: \
+             per-shard calls are serialized"
+        );
         server.shutdown();
     }
 }

@@ -133,7 +133,7 @@ impl Frontend for RouterShared {
     }
 
     fn cluster_health(&self) -> ClusterHealthReport {
-        self.cluster.cluster_health()
+        self.cluster.shard_health()
     }
 
     /// Unlike the worker's writer this never overwrites `generation` — a
@@ -495,6 +495,42 @@ mod tests {
         }
     }
 
+    #[test]
+    fn router_over_one_shard_reports_the_membership_address() {
+        // The worker sits behind a relay, so the address it reports for
+        // itself differs from the one the router's membership holds.
+        let worker = serve(&ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("serve worker");
+        let mut relay = crate::chaosnet::chaos_proxy(
+            worker.addr().to_string(),
+            crate::chaosnet::ToxicPlan::none(),
+            0,
+        )
+        .expect("relay");
+        let member = relay.addr().to_string();
+        let router = serve_router(
+            &RouterConfig {
+                policy: quick_policy(),
+                workers: 1,
+                ..RouterConfig::default()
+            },
+            Arc::new(Membership::new(vec![member.clone()])),
+        )
+        .expect("router");
+        let mut client = Client::connect(router.addr()).expect("connect");
+        let report = client.cluster_health().expect("cluster health");
+        assert_eq!(report.shards.len(), 1);
+        assert_eq!(report.reachable_shards, 1);
+        assert_eq!(report.shards[0].addr, member, "one Health probe per member");
+        drop(client);
+        router.shutdown();
+        relay.shutdown();
+        worker.shutdown();
+    }
+
     /// A stand-in shard that answers every request line with a typed
     /// `Overloaded` shed and counts the lines it was sent.
     fn shedding_shard() -> (String, Arc<AtomicU64>) {
@@ -530,29 +566,39 @@ mod tests {
         (addr, seen)
     }
 
-    #[test]
-    fn router_breaker_opens_on_a_shedding_shard_and_stops_sending_to_it() {
-        let (shedder, sent_to_shedder) = shedding_shard();
-        let (workers, live) = start_workers(1);
-        let membership = Arc::new(Membership::new(vec![shedder, live.addr(0)]));
-        let policy = RetryPolicy {
+    /// A breaker that stays open for the whole test once tripped.
+    fn breaker_policy() -> RetryPolicy {
+        RetryPolicy {
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),
             circuit_cooldown: Duration::from_secs(60),
             ..RetryPolicy::default()
-        };
+        }
+    }
+
+    /// A router with `workers` forwarding threads over a shedding shard 0
+    /// and a live shard 1, the shedder's line counter, the live worker,
+    /// and five cells owned by shard 0.
+    fn breaker_setup(
+        workers: usize,
+    ) -> (
+        RouterHandle,
+        Arc<AtomicU64>,
+        Vec<crate::server::ServerHandle>,
+        Vec<CellSpec>,
+    ) {
+        let (shedder, sent_to_shedder) = shedding_shard();
+        let (live_workers, live) = start_workers(1);
         let router = serve_router(
             &RouterConfig {
-                policy,
-                workers: 1,
+                policy: breaker_policy(),
+                workers,
                 detector: None,
                 ..RouterConfig::default()
             },
-            membership,
+            Arc::new(Membership::new(vec![shedder, live.addr(0)])),
         )
         .expect("router");
-
-        // Cells owned by the shedding shard 0.
         let ring = HashRing::new(2);
         let owned: Vec<CellSpec> = (0..64u64)
             .map(|i| {
@@ -566,7 +612,12 @@ mod tests {
             .take(5)
             .collect();
         assert_eq!(owned.len(), 5, "test needs cells owned by shard 0");
+        (router, sent_to_shedder, live_workers, owned)
+    }
 
+    #[test]
+    fn router_breaker_opens_on_a_shedding_shard_and_stops_sending_to_it() {
+        let (router, sent_to_shedder, workers, owned) = breaker_setup(1);
         let mut client = Client::connect(router.addr()).expect("connect");
         for spec in &owned {
             let resp = client
@@ -583,13 +634,51 @@ mod tests {
         // without sending to the shedding shard at all.
         assert_eq!(
             sent_to_shedder.load(Ordering::SeqCst),
-            u64::from(policy.circuit_threshold),
+            u64::from(breaker_policy().circuit_threshold),
             "the pooled breaker must open and then keep the router off the shard"
         );
         assert!(router.failovers() >= 5);
         drop(client);
         router.shutdown();
         for w in workers {
+            w.shutdown();
+        }
+    }
+
+    #[test]
+    fn router_breakers_bound_the_sheds_under_concurrent_forwards() {
+        // Breakers are kept per pooled connection. With at most
+        // `workers` forwards in flight, and no more than the pool keeps,
+        // no more than `workers` connections to the shard are ever
+        // opened, and each sheds at most `circuit_threshold` times before
+        // its breaker opens — however many requests follow.
+        let workers = 4;
+        assert!(workers <= crate::cluster::POOL_PER_SHARD);
+        let (router, sent_to_shedder, live_workers, owned) = breaker_setup(workers);
+        let callers = 2 * workers;
+        let rounds = 4;
+        std::thread::scope(|scope| {
+            for _ in 0..callers {
+                scope.spawn(|| {
+                    let mut client = Client::connect(router.addr()).expect("connect");
+                    for spec in owned.iter().cycle().take(rounds * owned.len()) {
+                        let resp = client
+                            .request(RequestKind::Cell(spec.clone()))
+                            .expect("routed cell");
+                        assert_eq!(resp.shard, Some(1));
+                    }
+                });
+            }
+        });
+        let sheds = sent_to_shedder.load(Ordering::SeqCst);
+        let bound = workers as u64 * u64::from(breaker_policy().circuit_threshold);
+        assert!(
+            sheds <= bound,
+            "{sheds} sheds for {} forwards; breakers must bound them at {bound}",
+            callers * rounds * owned.len()
+        );
+        router.shutdown();
+        for w in live_workers {
             w.shutdown();
         }
     }

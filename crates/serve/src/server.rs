@@ -1063,6 +1063,14 @@ mod tests {
     use ktudc_model::ProcessId;
     use ktudc_sim::ExploreSpec;
 
+    impl ServerHandle {
+        /// Responses the server has begun to write, including one held
+        /// by an armed [`ServerFaults::delay_every`].
+        pub(crate) fn responses_begun(&self) -> u64 {
+            self.shared.responses.load(Ordering::SeqCst)
+        }
+    }
+
     /// The pre-budget compute entry point: an unlimited budget, with the
     /// (unreachable) abort arm folded into the error domain.
     fn compute(kind: &RequestKind) -> Result<ResponseKind, WireError> {
